@@ -6,12 +6,15 @@
 //  * --smoke / --json <path>: a hand-timed suite comparing the legacy
 //    dag::makespan fitness path against the allocation-free CPM kernel
 //    (dag/cpm_kernel.hpp) on a genetic-style evaluation batch, plus
-//    wall-clock solve times per scheduler. --json writes the numbers as a
+//    wall-clock solve times per scheduler (plus per-solver rows for the
+//    makespan-probing baselines: GAIN2, LOSS2, the deadline solvers and a
+//    small exhaustive search). --json writes the numbers as a
 //    machine-readable report (uploaded as a CI artifact); --smoke shrinks
 //    the workload so the binary doubles as a ctest check, and fails if the
 //    kernel is not at least 3x faster than the legacy path.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -24,8 +27,11 @@
 #include "sched/annealing.hpp"
 #include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
+#include "sched/deadline.hpp"
+#include "sched/exhaustive.hpp"
 #include "sched/gain_loss.hpp"
 #include "sched/genetic.hpp"
+#include "sched/pcp.hpp"
 #include "sim/executor.hpp"
 
 namespace {
@@ -225,6 +231,71 @@ struct SolverReport {
   double annealing_ms = 0.0;
 };
 
+/// Solvers that score every candidate move by a full makespan, each timed
+/// as the median of `reps` solves on a fixed mid-size instance (the
+/// exhaustive search on a small one) so before/after deltas of the CPM
+/// evaluator underneath them are visible.
+struct ProbeReport {
+  std::size_t modules = 0;
+  std::size_t exhaustive_modules = 0;
+  std::size_t reps = 0;
+  double gain2_ms = 0.0;
+  double loss2_ms = 0.0;
+  double deadline_loss_ms = 0.0;
+  double pcp_deadline_ms = 0.0;
+  double exhaustive_ms = 0.0;
+};
+
+template <typename Solve>
+double median_ms(std::size_t reps, Solve&& solve) {
+  std::vector<double> ms;
+  for (std::size_t r = 0; r < reps; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(solve());
+    ms.push_back(seconds_since(start) * 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+ProbeReport time_probing_solvers(bool smoke) {
+  using medcc::sched::GainLossVariant;
+  ProbeReport report;
+  report.modules = 60;
+  report.exhaustive_modules = 18;
+  report.reps = smoke ? 3 : 9;
+  const auto inst = instance_for(report.modules);
+  const auto bounds = medcc::sched::cost_bounds(inst);
+  const double budget = 0.5 * (bounds.cmin + bounds.cmax);
+  const double fastest =
+      medcc::sched::evaluate(inst, medcc::sched::fastest_schedule(inst)).med;
+  const double slowest =
+      medcc::sched::evaluate(inst, medcc::sched::least_cost_schedule(inst))
+          .med;
+  const double deadline = 0.5 * (fastest + slowest);
+
+  report.gain2_ms = median_ms(report.reps, [&] {
+    return medcc::sched::gain(inst, budget, GainLossVariant::V2);
+  });
+  report.loss2_ms = median_ms(report.reps, [&] {
+    return medcc::sched::loss(inst, budget, GainLossVariant::V2);
+  });
+  report.deadline_loss_ms = median_ms(report.reps, [&] {
+    return medcc::sched::deadline_loss(inst, deadline);
+  });
+  report.pcp_deadline_ms = median_ms(report.reps, [&] {
+    return medcc::sched::pcp_deadline(inst, deadline);
+  });
+
+  const auto small = instance_for(report.exhaustive_modules);
+  const auto small_bounds = medcc::sched::cost_bounds(small);
+  const double small_budget = 0.5 * (small_bounds.cmin + small_bounds.cmax);
+  report.exhaustive_ms = median_ms(report.reps, [&] {
+    return medcc::sched::exhaustive_optimal(small, small_budget);
+  });
+  return report;
+}
+
 SolverReport time_solvers(const medcc::sched::Instance& inst, bool smoke) {
   const auto bounds = medcc::sched::cost_bounds(inst);
   const double budget = 0.5 * (bounds.cmin + bounds.cmax);
@@ -255,7 +326,8 @@ SolverReport time_solvers(const medcc::sched::Instance& inst, bool smoke) {
 }
 
 void write_json(const std::string& path, bool smoke,
-                const FitnessReport& fitness, const SolverReport& solvers) {
+                const FitnessReport& fitness, const SolverReport& solvers,
+                const ProbeReport& probes) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "FAIL: cannot write " << path << "\n";
@@ -281,6 +353,16 @@ void write_json(const std::string& path, bool smoke,
       << "    \"critical_greedy_ms\": " << solvers.critical_greedy_ms << ",\n"
       << "    \"genetic_ms\": " << solvers.genetic_ms << ",\n"
       << "    \"annealing_ms\": " << solvers.annealing_ms << "\n"
+      << "  },\n"
+      << "  \"probing_solvers\": {\n"
+      << "    \"modules\": " << probes.modules << ",\n"
+      << "    \"exhaustive_modules\": " << probes.exhaustive_modules << ",\n"
+      << "    \"reps\": " << probes.reps << ",\n"
+      << "    \"gain2_ms\": " << probes.gain2_ms << ",\n"
+      << "    \"loss2_ms\": " << probes.loss2_ms << ",\n"
+      << "    \"deadline_loss_ms\": " << probes.deadline_loss_ms << ",\n"
+      << "    \"pcp_deadline_ms\": " << probes.pcp_deadline_ms << ",\n"
+      << "    \"exhaustive_ms\": " << probes.exhaustive_ms << "\n"
       << "  }\n"
       << "}\n";
 }
@@ -296,6 +378,7 @@ int run_handtimed(const std::string& json_path, bool smoke) {
   (void)time_fitness_batch(inst, batch, 1);
   const auto fitness = time_fitness_batch(inst, batch, reps);
   const auto solvers = time_solvers(inst, smoke);
+  const auto probes = time_probing_solvers(smoke);
 
   std::cout << "fitness batch (m=" << fitness.modules
             << ", |Ew|=" << fitness.edges << ", " << fitness.batch << "x"
@@ -311,9 +394,17 @@ int run_handtimed(const std::string& json_path, bool smoke) {
             << "x\n"
             << "solve times: cg=" << solvers.critical_greedy_ms
             << " ms, genetic=" << solvers.genetic_ms
-            << " ms, annealing=" << solvers.annealing_ms << " ms\n";
+            << " ms, annealing=" << solvers.annealing_ms << " ms\n"
+            << "probing solvers (m=" << probes.modules << ", median of "
+            << probes.reps << "): gain2=" << probes.gain2_ms
+            << " ms, loss2=" << probes.loss2_ms
+            << " ms, deadline_loss=" << probes.deadline_loss_ms
+            << " ms, pcp_deadline=" << probes.pcp_deadline_ms
+            << " ms, exhaustive(m=" << probes.exhaustive_modules
+            << ")=" << probes.exhaustive_ms << " ms\n";
 
-  if (!json_path.empty()) write_json(json_path, smoke, fitness, solvers);
+  if (!json_path.empty())
+    write_json(json_path, smoke, fitness, solvers, probes);
 
   if (smoke && fitness.speedup < 3.0) {
     std::cerr << "FAIL: kernel speedup " << fitness.speedup

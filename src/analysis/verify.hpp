@@ -6,8 +6,8 @@
 // verify_schedule() re-derives every module cost from the billing policy
 // (Eq. 7) instead of trusting the Instance's cached CE matrix, and
 // recomputes est/eft/makespan with its own forward pass instead of
-// calling dag::compute_cpm. A scheduler bug that corrupts an Evaluation
-// therefore cannot also corrupt the check.
+// calling the CPM kernels the solvers use. A scheduler bug that corrupts
+// an Evaluation therefore cannot also corrupt the check.
 //
 // Rule ids emitted (stable, matched by tests):
 //   verify_workflow : cycle, multi-source, multi-sink, empty-workflow,

@@ -2,131 +2,37 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 namespace medcc::dag {
 namespace {
 
-/// Bitwise equality used to detect that a recomputed timing value is
-/// unchanged and propagation can stop. Exactness is the point: the
-/// incremental path stays bit-identical to a full recompute, so no
-/// tolerance belongs here.
-bool bit_equal(double a, double b) { return a == b; }
-
-/// Pushes the (unqueued) successors of `v` onto the min-heap frontier.
-void push_successors(const FlatDag& graph, CpmWorkspace& ws, NodeId v) {
-  for (const FlatArc& arc : graph.out_arcs(v)) {
-    if (!ws.dirty[arc.node]) {
-      ws.dirty[arc.node] = 1;
-      ws.heap.push_back(graph.topo_position(arc.node));
-      std::push_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-    }
-  }
-}
-
-/// Pushes the (unqueued) predecessors of `v` onto the max-heap frontier
-/// used by the reverse (backward) propagation.
-void push_predecessors(const FlatDag& graph, CpmWorkspace& ws, NodeId v) {
-  for (const FlatArc& arc : graph.in_arcs(v)) {
-    if (!ws.dirty[arc.node]) {
-      ws.dirty[arc.node] = 1;
-      ws.heap.push_back(graph.topo_position(arc.node));
-      std::push_heap(ws.heap.begin(), ws.heap.end());
-    }
-  }
-}
-
-/// Recomputed earliest start of `v` from its predecessors' eft.
-double recompute_est(const FlatDag& graph, const CpmWorkspace& ws, NodeId v) {
-  double start = 0.0;
-  for (const FlatArc& arc : graph.in_arcs(v))
-    start = std::max(start, ws.eft[arc.node] + arc.weight);
-  return start;
-}
-
-/// Recomputed latest finish of `v` from its successors' lst.
-double recompute_lft(const FlatDag& graph, const CpmWorkspace& ws, NodeId v) {
-  double finish = ws.makespan;
-  for (const FlatArc& arc : graph.out_arcs(v))
-    finish = std::min(finish, ws.lst[arc.node] - arc.weight);
-  return finish;
-}
-
-double criticality_tolerance(double makespan) {
-  return kCpmSlackTolerance * std::max(1.0, makespan);
-}
-
-/// Applies the weight change at `node` and repropagates est/eft through
-/// the downstream dirty frontier, stopping where eft stabilises bitwise.
-/// Journals prior values when `journal`; appends every node whose est or
-/// eft changed to ws.touched when `track`. Returns true when any eft
-/// changed (i.e. the makespan may have moved).
-bool propagate_forward(const FlatDag& graph, CpmWorkspace& ws, NodeId node,
-                       double new_weight, bool journal, bool track) {
-  if (journal)
-    ws.journal.push_back(CpmWorkspace::Undo{node, ws.est[node], ws.eft[node],
-                                            ws.weights[node]});
-  ws.weights[node] = new_weight;
-  const double new_eft = ws.est[node] + new_weight;
-  if (bit_equal(new_eft, ws.eft[node])) return false;
-  ws.eft[node] = new_eft;
-  if (track) ws.touched.push_back(node);
-  push_successors(graph, ws, node);
-
-  const auto topo = graph.topo_order();
-  while (!ws.heap.empty()) {
-    std::pop_heap(ws.heap.begin(), ws.heap.end(), std::greater<>{});
-    const NodeId v = topo[ws.heap.back()];
-    ws.heap.pop_back();
-    ws.dirty[v] = 0;
-    const double start = recompute_est(graph, ws, v);
-    const double finish = start + ws.weights[v];
-    const bool est_same = bit_equal(start, ws.est[v]);
-    const bool eft_same = bit_equal(finish, ws.eft[v]);
-    if (est_same && eft_same) continue;
-    if (journal)
-      ws.journal.push_back(
-          CpmWorkspace::Undo{v, ws.est[v], ws.eft[v], ws.weights[v]});
-    ws.est[v] = start;
-    ws.eft[v] = finish;
-    if (track) ws.touched.push_back(v);
-    // Successors read only eft; an est-only change (possible through
-    // rounding in start + weight) ends the frontier here.
-    if (!eft_same) push_successors(graph, ws, v);
-  }
-  return true;
-}
-
-/// Max eft over the sinks. With non-negative weights every node's eft is
-/// dominated by some sink's, and max over doubles is exact and
-/// order-independent, so this equals the full pass's running maximum.
-double makespan_from_sinks(const FlatDag& graph, const CpmWorkspace& ws) {
-  double makespan = 0.0;
-  for (NodeId s : graph.sinks()) makespan = std::max(makespan, ws.eft[s]);
-  return makespan;
-}
-
-/// Full forward pass over ws.weights; fills est/eft and the makespan.
+/// Forward pass over ws.weights: est(v) = max over preds u of
+/// eft(u) + w(u->v); fills est/eft and the makespan.
 void forward_pass(const FlatDag& graph, CpmWorkspace& ws) {
   ws.makespan = 0.0;
   for (NodeId v : graph.topo_order()) {
-    const double start = recompute_est(graph, ws, v);
+    double start = 0.0;
+    for (const FlatArc& arc : graph.in_arcs(v))
+      start = std::max(start, ws.eft[arc.node] + arc.weight);
     ws.est[v] = start;
     ws.eft[v] = start + ws.weights[v];
     ws.makespan = std::max(ws.makespan, ws.eft[v]);
   }
 }
 
-/// Full backward pass + criticality flags from the current makespan.
+/// Backward pass from the current makespan, lft(v) = min over succs s of
+/// lst(s) - w(v->s), plus the criticality flags.
 void backward_pass(const FlatDag& graph, CpmWorkspace& ws) {
   const auto topo = graph.topo_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId v = *it;
-    const double finish = recompute_lft(graph, ws, v);
+    double finish = ws.makespan;
+    for (const FlatArc& arc : graph.out_arcs(v))
+      finish = std::min(finish, ws.lst[arc.node] - arc.weight);
     ws.lft[v] = finish;
     ws.lst[v] = finish - ws.weights[v];
   }
-  ws.tol = criticality_tolerance(ws.makespan);
+  ws.tol = kCpmSlackTolerance * std::max(1.0, ws.makespan);
   const std::size_t n = graph.node_count();
   for (NodeId v = 0; v < n; ++v)
     ws.critical[v] = (ws.lst[v] - ws.est[v]) <= ws.tol ? 1 : 0;
@@ -146,11 +52,6 @@ void CpmWorkspace::prepare(std::size_t nodes) {
   lst.resize(nodes);
   lft.resize(nodes);
   critical.resize(nodes);
-  dirty.assign(nodes, 0);
-  heap.clear();
-  touched.clear();
-  journal.clear();
-  in_transaction = false;
   backward_valid = false;
 }
 
@@ -166,8 +67,6 @@ double makespan_into(const FlatDag& graph, CpmWorkspace& ws) {
   MEDCC_EXPECTS(ws.weights.size() == graph.node_count());
   forward_pass(graph, ws);
   ws.backward_valid = false;
-  ws.in_transaction = false;
-  ws.journal.clear();
   return ws.makespan;
 }
 
@@ -184,8 +83,6 @@ void cpm_into(const FlatDag& graph, CpmWorkspace& ws) {
   forward_pass(graph, ws);
   backward_pass(graph, ws);
   ws.backward_valid = true;
-  ws.in_transaction = false;
-  ws.journal.clear();
 }
 
 CpmResult export_result(const FlatDag& graph, const CpmWorkspace& ws) {
@@ -231,106 +128,6 @@ CpmResult export_result(const FlatDag& graph, const CpmWorkspace& ws) {
     cursor = next;
   }
   return r;
-}
-
-double update_weight(const FlatDag& graph, CpmWorkspace& ws, NodeId node,
-                     double new_weight) {
-  MEDCC_EXPECTS(node < graph.node_count());
-  MEDCC_EXPECTS(ws.weights.size() == graph.node_count());
-  MEDCC_EXPECTS(new_weight >= 0.0);
-  if (!ws.in_transaction) {
-    ws.in_transaction = true;
-    ws.journal.clear();
-    ws.journal_makespan = ws.makespan;
-    ws.journal_backward_valid = ws.backward_valid;
-  }
-  ws.backward_valid = false;
-  if (bit_equal(new_weight, ws.weights[node])) return ws.makespan;
-  if (propagate_forward(graph, ws, node, new_weight, /*journal=*/true,
-                        /*track=*/false)) {
-    ws.makespan = makespan_from_sinks(graph, ws);
-  }
-  return ws.makespan;
-}
-
-void commit(CpmWorkspace& ws) {
-  ws.journal.clear();
-  ws.in_transaction = false;
-}
-
-void rollback(CpmWorkspace& ws) {
-  for (auto it = ws.journal.rbegin(); it != ws.journal.rend(); ++it) {
-    ws.est[it->node] = it->est;
-    ws.eft[it->node] = it->eft;
-    ws.weights[it->node] = it->weight;
-  }
-  if (ws.in_transaction) {
-    ws.makespan = ws.journal_makespan;
-    // update_weight never touches lst/lft/critical, so once the forward
-    // state is restored the backward state is exactly as valid as it was
-    // when the transaction opened.
-    ws.backward_valid = ws.journal_backward_valid;
-  }
-  ws.journal.clear();
-  ws.in_transaction = false;
-}
-
-double update_weight_full(const FlatDag& graph, CpmWorkspace& ws, NodeId node,
-                          double new_weight) {
-  MEDCC_EXPECTS(node < graph.node_count());
-  MEDCC_EXPECTS(ws.weights.size() == graph.node_count());
-  MEDCC_EXPECTS(new_weight >= 0.0);
-  MEDCC_EXPECTS(ws.backward_valid);
-  MEDCC_EXPECTS(!ws.in_transaction);
-  if (bit_equal(new_weight, ws.weights[node])) return ws.makespan;
-
-  const double old_weight = ws.weights[node];
-  ws.touched.clear();
-  const bool eft_moved = propagate_forward(graph, ws, node, new_weight,
-                                           /*journal=*/false, /*track=*/true);
-  const double new_makespan =
-      eft_moved ? makespan_from_sinks(graph, ws) : ws.makespan;
-
-  if (!bit_equal(new_makespan, ws.makespan)) {
-    // Every lft is anchored at the makespan through the sinks, so a
-    // makespan shift invalidates the whole backward state: rerun it
-    // (allocation-free) together with all criticality flags.
-    ws.makespan = new_makespan;
-    backward_pass(graph, ws);
-    return ws.makespan;
-  }
-
-  // Makespan unchanged: backward values depend only on weights and the
-  // makespan, so only `node` and its transitive predecessors can move.
-  const double new_lst = ws.lft[node] - new_weight;
-  if (!bit_equal(new_lst, ws.lst[node]) ||
-      !bit_equal(new_weight, old_weight)) {
-    ws.lst[node] = new_lst;
-    ws.touched.push_back(node);
-    push_predecessors(graph, ws, node);
-    const auto topo = graph.topo_order();
-    while (!ws.heap.empty()) {
-      std::pop_heap(ws.heap.begin(), ws.heap.end());
-      const NodeId v = topo[ws.heap.back()];
-      ws.heap.pop_back();
-      ws.dirty[v] = 0;
-      const double finish = recompute_lft(graph, ws, v);
-      const double start = finish - ws.weights[v];
-      const bool lft_same = bit_equal(finish, ws.lft[v]);
-      const bool lst_same = bit_equal(start, ws.lst[v]);
-      if (lft_same && lst_same) continue;
-      ws.lft[v] = finish;
-      ws.lst[v] = start;
-      ws.touched.push_back(v);
-      // Predecessors read only lst; an lft-only change stops here.
-      if (!lst_same) push_predecessors(graph, ws, v);
-    }
-  }
-  // Refresh criticality only where est or lst moved (tol is unchanged).
-  for (NodeId v : ws.touched)
-    ws.critical[v] = (ws.lst[v] - ws.est[v]) <= ws.tol ? 1 : 0;
-  ws.touched.clear();
-  return ws.makespan;
 }
 
 }  // namespace medcc::dag

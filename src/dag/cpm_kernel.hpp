@@ -1,32 +1,28 @@
-// Allocation-free CPM evaluation kernels over a FlatDag.
+// Allocation-free CPM evaluation kernels over a FlatDag: the one engine
+// every solver scores makespans with.
 //
-// The repo's evaluation-bound schedulers (Critical-Greedy's per-iteration
-// critical path, every genetic individual's fitness, every annealing
-// neighbour) previously funnelled through dag::compute_cpm, which
-// re-validates inputs, recomputes the topological order and allocates six
-// fresh vectors per call. These kernels split that work:
+// The legacy dag::compute_cpm re-validates inputs, recomputes the
+// topological order and allocates six fresh vectors per call; it remains
+// only as the independent reference these kernels are tested against.
+// Here the work is split:
 //
 //  * FlatDag construction pays validation + topo order once per instance;
 //  * CpmWorkspace owns every buffer, so repeated calls are allocation-free
 //    once warmed up;
 //  * makespan_into() runs only the forward pass (no backward pass, no
-//    slack, no critical-path extraction) -- the genetic/annealing fitness
-//    fast path;
+//    slack, no critical-path extraction) -- what candidate-move probes and
+//    metaheuristic fitness need;
 //  * cpm_into() adds the backward pass and criticality flags -- what
 //    Critical-Greedy needs per round;
-//  * update_weight() / update_weight_full() recompute incrementally after
-//    a single node-weight change, propagating a dirty frontier that stops
-//    as soon as values stabilise (bitwise), with journal-based rollback
-//    for rejected annealing moves (commit is O(1));
 //  * export_result() materialises a CpmResult identical -- bit for bit,
 //    including the extracted critical path -- to what compute_cpm returns
 //    for the same graph and weights.
 //
-// Exact (bitwise) floating-point equality is what makes the incremental
-// path safe: est/eft/lst/lft are max/min/plus recurrences over the same
-// operands in the same order as the full pass, so a node whose recomputed
-// value is bitwise-unchanged can cut propagation without ever diverging
-// from a full recompute.
+// The caller idiom for trying a move: write the candidate weight into
+// ws.weights, run a pass, and put the old weight back if the move is
+// rejected. Each pass is a full O(V + E) sweep over contiguous arrays;
+// the passes use the same max/min/plus recurrences in the same operand
+// order as compute_cpm, so results are bitwise-identical to it.
 //
 // Thread-safety: FlatDag is immutable after construction and may be shared
 // freely across threads; each thread must use its own CpmWorkspace.
@@ -48,32 +44,17 @@ struct CpmWorkspace {
   std::vector<double> weights;  ///< current node weights (kernel-owned copy)
   std::vector<double> est;
   std::vector<double> eft;
-  std::vector<double> lst;  ///< valid only after cpm_into/update_weight_full
+  std::vector<double> lst;  ///< valid only after cpm_into
   std::vector<double> lft;
   std::vector<char> critical;  ///< valid only while backward_valid
   double makespan = 0.0;
   double tol = 0.0;  ///< criticality tolerance; tracks makespan
-  /// True while lst/lft/critical match weights (set by cpm_into, kept
-  /// current by update_weight_full, cleared by the forward-only paths).
+  /// True while lst/lft/critical match weights (set by cpm_into, cleared
+  /// by the forward-only pass).
   bool backward_valid = false;
 
   /// Ensures every buffer is sized for `nodes`; cheap when unchanged.
   void prepare(std::size_t nodes);
-
-  // -- internal kernel state ------------------------------------------------
-  struct Undo {
-    NodeId node = 0;
-    double est = 0.0;
-    double eft = 0.0;
-    double weight = 0.0;
-  };
-  std::vector<Undo> journal;    ///< forward-state undo log (open transaction)
-  double journal_makespan = 0.0;
-  bool journal_backward_valid = false;  ///< backward_valid at transaction open
-  bool in_transaction = false;
-  std::vector<char> dirty;           ///< frontier membership (all-false at rest)
-  std::vector<std::size_t> heap;     ///< frontier ordered by topo position
-  std::vector<NodeId> touched;       ///< nodes needing criticality refresh
 };
 
 /// Forward pass only: fills ws.est/eft/makespan from `node_weights`
@@ -94,35 +75,10 @@ void cpm_into(const FlatDag& graph, std::span<const double> node_weights,
 void cpm_into(const FlatDag& graph, CpmWorkspace& ws);
 
 /// Builds the full CpmResult (buffer, critical flags, extracted critical
-/// path) from a workspace previously filled by cpm_into /
-/// update_weight_full. Bitwise-identical to compute_cpm on the same
-/// inputs. Allocates (it returns an owning result).
+/// path) from a workspace previously filled by cpm_into.
+/// Bitwise-identical to compute_cpm on the same inputs. Allocates (it
+/// returns an owning result).
 [[nodiscard]] CpmResult export_result(const FlatDag& graph,
                                       const CpmWorkspace& ws);
-
-/// Incremental forward recompute: sets node's weight to `new_weight` and
-/// repropagates est/eft downstream, stopping where values stabilise.
-/// Opens an undo transaction on first use (see commit/rollback); multiple
-/// updates may be chained in one transaction. Returns the new makespan.
-/// Requires a forward state (makespan_into or cpm_into ran on this graph).
-double update_weight(const FlatDag& graph, CpmWorkspace& ws, NodeId node,
-                     double new_weight);
-
-/// Accepts the open transaction's updates. O(1).
-void commit(CpmWorkspace& ws);
-
-/// Restores est/eft/weights/makespan to the state before the open
-/// transaction, undoing every chained update_weight. Cost is proportional
-/// to the entries actually touched, never the graph size.
-void rollback(CpmWorkspace& ws);
-
-/// Incremental forward + backward recompute maintaining lst/lft and the
-/// criticality flags (what Critical-Greedy consumes between rounds).
-/// When the makespan shifts, the backward pass is rerun in full (still
-/// allocation-free); otherwise only the upstream dirty frontier is
-/// touched. Not transactional: changes apply immediately. Requires
-/// ws.backward_valid (i.e. cpm_into ran). Returns the new makespan.
-double update_weight_full(const FlatDag& graph, CpmWorkspace& ws, NodeId node,
-                          double new_weight);
 
 }  // namespace medcc::dag

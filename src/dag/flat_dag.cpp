@@ -12,9 +12,6 @@ FlatDag::FlatDag(const Dag& graph, std::span<const double> edge_weights)
   auto order = graph.topological_order();
   if (!order) throw InvalidArgument("FlatDag: graph contains a cycle");
   topo_ = std::move(*order);
-  topo_pos_.resize(node_count_);
-  for (std::size_t pos = 0; pos < topo_.size(); ++pos)
-    topo_pos_[topo_[pos]] = pos;
 
   const auto weight_of = [&](EdgeId e) {
     return edge_weights.empty() ? 0.0 : edge_weights[e];
@@ -31,7 +28,6 @@ FlatDag::FlatDag(const Dag& graph, std::span<const double> edge_weights)
     out_off_[v] = out_arcs_.size();
     for (EdgeId e : graph.out_edges(v))
       out_arcs_.push_back(FlatArc{graph.edge(e).dst, weight_of(e)});
-    if (graph.out_degree(v) == 0) sinks_.push_back(v);
   }
   in_off_[node_count_] = in_arcs_.size();
   out_off_[node_count_] = out_arcs_.size();

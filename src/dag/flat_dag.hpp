@@ -6,12 +6,12 @@
 // parallel array indexed by EdgeId. FlatDag freezes one (graph, edge
 // weights) pair into compressed-sparse-row form -- contiguous in/out arc
 // arrays with the edge weight inlined next to the endpoint -- plus the
-// cached topological order and its inverse. Validation (acyclicity,
-// weight-array size, non-negative weights) happens once at build time, so
-// the CPM kernels in dag/cpm_kernel.hpp can skip it on every call.
+// cached topological order. Validation (acyclicity, weight-array size,
+// non-negative weights) happens once at build time, so the CPM kernels in
+// dag/cpm_kernel.hpp can skip it on every call.
 //
 // Arc enumeration order is preserved exactly from the source Dag's edge
-// lists: the kernels reproduce compute_cpm()'s results (including the
+// lists: the kernels reproduce compute_cpm's results (including the
 // extracted critical path) bit for bit.
 #pragma once
 
@@ -42,11 +42,6 @@ public:
 
   /// The cached topological order (identical to Dag::topological_order()).
   [[nodiscard]] std::span<const NodeId> topo_order() const { return topo_; }
-  /// Position of each node within topo_order().
-  [[nodiscard]] std::size_t topo_position(NodeId v) const {
-    MEDCC_EXPECTS(v < node_count_);
-    return topo_pos_[v];
-  }
 
   /// Incoming arcs of `v` (arc.node is the predecessor), in the same order
   /// as Dag::in_edges(v).
@@ -70,11 +65,6 @@ public:
     return out_off_[v + 1] - out_off_[v];
   }
 
-  /// Nodes with no outgoing arcs, ascending. With non-negative weights the
-  /// makespan is always attained at a sink, so incremental recompute only
-  /// scans this list.
-  [[nodiscard]] std::span<const NodeId> sinks() const { return sinks_; }
-
 private:
   std::size_t node_count_ = 0;
   std::size_t edge_count_ = 0;
@@ -83,8 +73,6 @@ private:
   std::vector<FlatArc> in_arcs_;
   std::vector<FlatArc> out_arcs_;
   std::vector<NodeId> topo_;
-  std::vector<std::size_t> topo_pos_;
-  std::vector<NodeId> sinks_;
 };
 
 }  // namespace medcc::dag

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "dag/cpm_kernel.hpp"
+
 namespace medcc::expr {
 
 double RobustnessReport::miss_rate(double deadline) const {
@@ -19,11 +21,13 @@ RobustnessReport assess_robustness(const sched::Instance& inst,
   MEDCC_EXPECTS(options.trials >= 1);
   MEDCC_EXPECTS(options.noise >= 0.0);
   const auto nominal = sched::durations(inst, schedule);
-  const auto& graph = inst.workflow().graph();
+  const dag::FlatDag& flat = inst.flat_dag();
 
   RobustnessReport report;
-  report.nominal_med =
-      dag::makespan(graph, nominal, inst.edge_times());
+  {
+    dag::CpmWorkspace ws;
+    report.nominal_med = dag::makespan_into(flat, nominal, ws);
+  }
   report.samples.assign(options.trials, 0.0);
 
   const util::Prng root(options.seed);
@@ -31,13 +35,15 @@ RobustnessReport assess_robustness(const sched::Instance& inst,
       pool, options.trials,
       [&](std::size_t trial) {
         auto rng = root.fork(trial);
-        auto realized = nominal;
-        for (sched::NodeId i = 0; i < realized.size(); ++i) {
+        static thread_local dag::CpmWorkspace ws;
+        ws.prepare(flat.node_count());
+        for (sched::NodeId i = 0; i < nominal.size(); ++i) {
+          ws.weights[i] = nominal[i];
           if (inst.workflow().module(i).is_fixed()) continue;
-          realized[i] *= std::max(0.05, 1.0 + rng.normal(0.0, options.noise));
+          ws.weights[i] *=
+              std::max(0.05, 1.0 + rng.normal(0.0, options.noise));
         }
-        report.samples[trial] =
-            dag::makespan(graph, realized, inst.edge_times());
+        report.samples[trial] = dag::makespan_into(flat, ws);
       },
       /*grain=*/16);
 

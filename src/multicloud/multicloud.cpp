@@ -4,6 +4,8 @@
 #include <limits>
 #include <sstream>
 
+#include "dag/cpm_kernel.hpp"
+
 namespace medcc::multicloud {
 
 Federation::Federation(std::vector<CloudSite> sites,
@@ -103,7 +105,12 @@ McEvaluation evaluate(const McInstance& inst, const McSchedule& schedule) {
         inst.federation().transfer_cost(sa, sb, wf.data_size(e));
   }
 
-  eval.cpm = dag::compute_cpm(wf.graph(), node_weights, edge_weights);
+  // Edge weights depend on the placement, so each evaluation freezes its
+  // own FlatDag.
+  const dag::FlatDag flat(wf.graph(), edge_weights);
+  dag::CpmWorkspace ws;
+  dag::cpm_into(flat, node_weights, ws);
+  eval.cpm = dag::export_result(flat, ws);
   eval.med = eval.cpm.makespan;
   eval.cost = eval.transfer_cost;
   for (NodeId i = 0; i < wf.module_count(); ++i)

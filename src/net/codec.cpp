@@ -1,6 +1,7 @@
 #include "net/codec.hpp"
 
 #include <bit>
+#include <cmath>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -232,12 +233,21 @@ void encode_instance(WireWriter& writer, const sched::Instance& instance) {
       writer.f64(instance.time(i, j));
 }
 
+/// Reads a number the instance model computes with. The CPM and cost
+/// recurrences require finite inputs, so NaN and +-inf are malformed.
+double finite_f64(WireReader& reader) {
+  const double value = reader.f64();
+  if (!std::isfinite(value))
+    fail(WireError::bad_body, "wire: non-finite number in instance");
+  return value;
+}
+
 std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
-  const double quantum = reader.f64();
+  const double quantum = finite_f64(reader);
   cloud::NetworkModel network;
-  network.bandwidth = reader.f64();
-  network.link_delay = reader.f64();
-  network.transfer_cost_rate = reader.f64();
+  network.bandwidth = finite_f64(reader);
+  network.link_delay = finite_f64(reader);
+  network.transfer_cost_rate = finite_f64(reader);
 
   const std::uint32_t type_count = reader.u32();
   if (type_count > kMaxTypes)
@@ -248,8 +258,8 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
   for (std::uint32_t j = 0; j < type_count; ++j) {
     cloud::VmType type;
     type.name = reader.str(kMaxString);
-    type.processing_power = reader.f64();
-    type.cost_rate = reader.f64();
+    type.processing_power = finite_f64(reader);
+    type.cost_rate = finite_f64(reader);
     types.push_back(std::move(type));
   }
 
@@ -269,7 +279,7 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
     for (std::uint32_t i = 0; i < module_count; ++i) {
       std::string name = reader.str(kMaxString);
       const std::uint8_t kind = reader.u8();
-      const double value = reader.f64();
+      const double value = finite_f64(reader);
       if (kind > 1) fail(WireError::bad_body, "wire: unknown module kind");
       if (kind == 1) {
         (void)wf.add_fixed_module(std::move(name), value);
@@ -286,7 +296,7 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
     for (std::uint32_t e = 0; e < edge_count; ++e) {
       const std::uint32_t src = reader.u32();
       const std::uint32_t dst = reader.u32();
-      const double data_size = reader.f64();
+      const double data_size = finite_f64(reader);
       if (src >= module_count || dst >= module_count || src == dst)
         fail(WireError::bad_body, "wire: edge endpoint out of range");
       (void)wf.add_dependency(src, dst, data_size);
@@ -299,7 +309,7 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
     reader.expect_fits(static_cast<std::uint64_t>(rows) * cols, 8);
     std::vector<std::vector<double>> times(rows, std::vector<double>(cols));
     for (auto& row : times)
-      for (double& cell : row) cell = reader.f64();
+      for (double& cell : row) cell = finite_f64(reader);
 
     return std::make_shared<const sched::Instance>(sched::Instance::from_matrix(
         std::move(wf), cloud::VmCatalog(std::move(types)), times,

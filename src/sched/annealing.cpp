@@ -62,11 +62,9 @@ Result annealing(const Instance& inst, double budget,
   Schedule current =
       options.seed_with_cg ? critical_greedy(inst, budget).schedule : least;
 
-  // The workspace tracks the forward CPM state of `current`. Each
-  // neighbour is delta-evaluated: only the genes the mutation + repair
-  // actually changed are pushed through the incremental kernel, which
-  // journals the prior values. Accepting a move commits in O(1);
-  // rejecting rolls the journal back, restoring the state bit-for-bit.
+  // Each neighbour's durations are written into ws.weights and scored by
+  // a forward pass; the next neighbour overwrites them, so a rejected move
+  // leaves nothing to undo. Fixed modules keep their seeded durations.
   dag::CpmWorkspace ws;
   double current_med = dag::makespan_into(flat, durations(inst, current), ws);
   Schedule best = current;
@@ -81,23 +79,18 @@ Result annealing(const Instance& inst, double budget,
     neighbour.type_of[i] = static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(inst.type_count()) - 1));
     repair(inst, budget, neighbour);
-    for (NodeId m : computing) {
-      if (neighbour.type_of[m] != current.type_of[m])
-        dag::update_weight(flat, ws, m, inst.time(m, neighbour.type_of[m]));
-    }
-    const double med = ws.makespan;
+    for (NodeId m : computing)
+      ws.weights[m] = inst.time(m, neighbour.type_of[m]);
+    const double med = dag::makespan_into(flat, ws);
     const double delta = med - current_med;
     if (delta <= 0.0 ||
         rng.bernoulli(std::exp(-delta / temperature))) {
-      dag::commit(ws);
       std::swap(current.type_of, neighbour.type_of);
       current_med = med;
       if (current_med < best_med) {
         best = current;
         best_med = current_med;
       }
-    } else {
-      dag::rollback(ws);
     }
     temperature *= options.cooling;
   }

@@ -25,15 +25,13 @@ Result run_critical_greedy(const Instance& inst, double budget,
     throw Infeasible(os.str());
   }
 
-  auto weights = durations(inst, result.schedule);
   const dag::FlatDag& flat = inst.flat_dag();
   const auto computing = inst.workflow().computing_modules();
 
-  // Per-round CPM runs through the reusable kernel: one full cpm_into to
-  // seed the workspace, then incremental recomputes after each applied
-  // upgrade (only the dirty downstream/upstream frontier is touched).
+  // ws holds the current schedule's durations and CPM state; each applied
+  // upgrade rewrites one weight and reruns the full pass.
   dag::CpmWorkspace ws;
-  bool cpm_ready = false;
+  dag::cpm_into(flat, durations(inst, result.schedule), ws);
 
   // Small epsilon so fp noise in accumulated dC never rejects a reschedule
   // the exact arithmetic would allow.
@@ -42,11 +40,6 @@ Result run_critical_greedy(const Instance& inst, double budget,
   for (;;) {
     const double cost_left = budget - current_cost;
     if (cost_left <= kCostEps) break;
-
-    if (!cpm_ready) {
-      dag::cpm_into(flat, weights, ws);
-      cpm_ready = true;
-    }
 
     // Candidate scan (Alg. 1, lines 11-13).
     bool found = false;
@@ -95,10 +88,10 @@ Result run_critical_greedy(const Instance& inst, double budget,
 
     const std::size_t from = result.schedule.type_of[best_module];
     result.schedule.type_of[best_module] = best_type;
-    weights[best_module] = inst.time(best_module, best_type);
+    ws.weights[best_module] = inst.time(best_module, best_type);
     current_cost += best_dc;
     ++result.iterations;
-    dag::update_weight_full(flat, ws, best_module, weights[best_module]);
+    dag::cpm_into(flat, ws);
     if (moves != nullptr) {
       moves->push_back(CgMove{best_module, from, best_type, best_dt, best_dc,
                               ws.makespan, current_cost});

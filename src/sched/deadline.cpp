@@ -5,6 +5,7 @@
 #include <limits>
 #include <sstream>
 
+#include "dag/cpm_kernel.hpp"
 #include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
 #include "sched/verify_hook.hpp"
@@ -23,7 +24,9 @@ DeadlineResult deadline_loss(const Instance& inst, double deadline) {
   }
 
   const auto computing = inst.workflow().computing_modules();
-  auto weights = durations(inst, result.schedule);
+  const dag::FlatDag& flat = inst.flat_dag();
+  dag::CpmWorkspace ws;  // weights: the current schedule's durations
+  dag::makespan_into(flat, durations(inst, result.schedule), ws);
 
   for (;;) {
     bool found = false;
@@ -43,11 +46,9 @@ DeadlineResult deadline_loss(const Instance& inst, double deadline) {
         const double slack =
             (deadline - eval.med) + eval.cpm.buffer[i];
         if (stretch > slack + 1e-12) continue;
-        const double saved_weight = weights[i];
-        weights[i] = inst.time(i, j);
-        const double med = dag::makespan(inst.workflow().graph(), weights,
-                                         inst.edge_times());
-        weights[i] = saved_weight;
+        ws.weights[i] = inst.time(i, j);
+        const double med = dag::makespan_into(flat, ws);
+        ws.weights[i] = inst.time(i, cur);
         if (med > deadline + 1e-9) continue;
         if (!found || saving > best_saving ||
             // Exact tie-break on copied cost deltas.
@@ -62,7 +63,7 @@ DeadlineResult deadline_loss(const Instance& inst, double deadline) {
     }
     if (!found) break;
     result.schedule.type_of[best_module] = best_type;
-    weights[best_module] = inst.time(best_module, best_type);
+    ws.weights[best_module] = inst.time(best_module, best_type);
     eval = evaluate(inst, result.schedule);
     ++result.iterations;
   }
@@ -84,7 +85,7 @@ struct DeadlineSearch {
   std::uint64_t nodes = 0;
   std::vector<NodeId> order;
   std::vector<double> min_cost_suffix;
-  std::vector<double> weights;  ///< unassigned seeded with fastest times
+  dag::CpmWorkspace ws;  ///< weights: unassigned seeded with fastest times
   Schedule current;
   Schedule best;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -97,8 +98,7 @@ struct DeadlineSearch {
     if (cost_so_far + min_cost_suffix[depth] > best_cost + 1e-12) return;
     // Deadline bound: optimistic makespan with the unassigned suffix at
     // its fastest must already meet the deadline.
-    const double optimistic = dag::makespan(inst->workflow().graph(),
-                                            weights, inst->edge_times());
+    const double optimistic = dag::makespan_into(inst->flat_dag(), ws);
     if (optimistic > deadline + 1e-9) return;
     if (depth == order.size()) {
       const double cost = cost_so_far;
@@ -111,13 +111,13 @@ struct DeadlineSearch {
       return;
     }
     const NodeId i = order[depth];
-    const double saved = weights[i];
+    const double saved = ws.weights[i];
     for (std::size_t j = 0; j < inst->type_count(); ++j) {
       current.type_of[i] = j;
-      weights[i] = inst->time(i, j);
+      ws.weights[i] = inst->time(i, j);
       dfs(depth + 1, cost_so_far + inst->cost(i, j));
     }
-    weights[i] = saved;
+    ws.weights[i] = saved;
   }
 };
 
@@ -150,7 +150,7 @@ DeadlineResult min_cost_under_deadline_exact(const Instance& inst,
       mc = std::min(mc, inst.cost(search.order[k], j));
     search.min_cost_suffix[k] = search.min_cost_suffix[k + 1] + mc;
   }
-  search.weights = durations(inst, fastest);
+  dag::makespan_into(inst.flat_dag(), durations(inst, fastest), search.ws);
   search.current.type_of.assign(inst.module_count(), 0);
   search.best = fastest;
   search.best_cost = fastest_eval.cost;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dag/cpm_kernel.hpp"
 #include "sched/bounds.hpp"
 #include "sched/verify_hook.hpp"
 
@@ -14,7 +15,7 @@ struct SearchState {
   const ExhaustiveOptions* options = nullptr;
   std::vector<NodeId> order;           ///< computing modules, search order
   std::vector<double> min_cost_suffix; ///< sum of min costs from depth k on
-  std::vector<double> weights;         ///< current duration per module
+  dag::CpmWorkspace ws;                ///< weights: duration per module
   Schedule current;
   Schedule best;
   double best_med = std::numeric_limits<double>::infinity();
@@ -26,8 +27,7 @@ struct SearchState {
     if (++nodes > options->max_nodes)
       throw Error("exhaustive_optimal: node budget exceeded");
     if (depth == order.size()) {
-      const double med = dag::makespan(inst->workflow().graph(), weights,
-                                       inst->edge_times());
+      const double med = dag::makespan_into(inst->flat_dag(), ws);
       if (med < best_med - 1e-12 ||
           (med <= best_med + 1e-12 && cost_so_far < best_cost)) {
         best_med = med;
@@ -38,8 +38,7 @@ struct SearchState {
     }
     // Optimistic makespan bound: unassigned modules at their fastest type
     // (their weight vector entries are pre-seeded with the fastest time).
-    const double optimistic = dag::makespan(inst->workflow().graph(), weights,
-                                            inst->edge_times());
+    const double optimistic = dag::makespan_into(inst->flat_dag(), ws);
     if (optimistic >= best_med - 1e-12 &&
         // keep exploring equal-MED branches only if they might be cheaper
         !(optimistic <= best_med + 1e-12 &&
@@ -47,15 +46,15 @@ struct SearchState {
       return;
 
     const NodeId i = order[depth];
-    const double saved_weight = weights[i];
+    const double saved_weight = ws.weights[i];
     for (std::size_t j = 0; j < inst->type_count(); ++j) {
       const double c = cost_so_far + inst->cost(i, j);
       if (c + min_cost_suffix[depth + 1] > budget + 1e-9) continue;
       current.type_of[i] = j;
-      weights[i] = inst->time(i, j);
+      ws.weights[i] = inst->time(i, j);
       dfs(depth + 1, c);
     }
-    weights[i] = saved_weight;
+    ws.weights[i] = saved_weight;
   }
 };
 
@@ -95,12 +94,12 @@ ExhaustiveResult exhaustive_optimal(const Instance& inst, double budget,
 
   // Seed weights with each module's fastest time (optimistic bound) --
   // fixed modules keep their fixed duration.
-  state.weights.resize(inst.module_count());
+  state.ws.prepare(inst.module_count());
   for (NodeId v = 0; v < inst.module_count(); ++v) {
     double fastest = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < inst.type_count(); ++j)
       fastest = std::min(fastest, inst.time(v, j));
-    state.weights[v] = fastest;
+    state.ws.weights[v] = fastest;
   }
 
   // Incumbent: the least-cost schedule is always feasible.

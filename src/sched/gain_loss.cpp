@@ -5,6 +5,7 @@
 #include <sstream>
 #include <vector>
 
+#include "dag/cpm_kernel.hpp"
 #include "sched/bounds.hpp"
 #include "sched/verify_hook.hpp"
 
@@ -14,17 +15,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double cost_eps(double budget) { return 1e-9 * std::max(1.0, budget); }
-
-/// Makespan after hypothetically moving module i to type j.
-double makespan_if(const Instance& inst, std::vector<double>& weights,
-                   NodeId i, std::size_t j) {
-  const double saved = weights[i];
-  weights[i] = inst.time(i, j);
-  const double ms = dag::makespan(inst.workflow().graph(), weights,
-                                  inst.edge_times());
-  weights[i] = saved;
-  return ms;
-}
 
 struct Move {
   NodeId module = 0;
@@ -47,7 +37,6 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
        << current_cost;
     throw Infeasible(os.str());
   }
-  auto weights = durations(inst, result.schedule);
   const auto computing = inst.workflow().computing_modules();
   const double eps = cost_eps(budget);
 
@@ -108,15 +97,16 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
     return result;
   }
 
-  // Variants 1 and 2: fully dynamic greedy.
+  // Variants 1 and 2: fully dynamic greedy. V2 probes each candidate's
+  // makespan with ws.weights holding the current schedule's durations.
+  const dag::FlatDag& flat = inst.flat_dag();
+  dag::CpmWorkspace ws;
+  dag::makespan_into(flat, durations(inst, result.schedule), ws);
   for (;;) {
     const double left = budget - current_cost;
     if (left <= eps) break;
     const double med_cur =
-        variant == GainLossVariant::V2
-            ? dag::makespan(inst.workflow().graph(), weights,
-                            inst.edge_times())
-            : 0.0;
+        variant == GainLossVariant::V2 ? dag::makespan_into(flat, ws) : 0.0;
 
     bool found = false;
     Move best;
@@ -127,7 +117,9 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
         if (dc > left + eps) continue;
         double dt;
         if (variant == GainLossVariant::V2) {
-          dt = med_cur - makespan_if(inst, weights, i, j);
+          ws.weights[i] = inst.time(i, j);
+          dt = med_cur - dag::makespan_into(flat, ws);
+          ws.weights[i] = inst.time(i, cur);
         } else {
           dt = inst.time(i, cur) - inst.time(i, j);
         }
@@ -142,7 +134,7 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
     }
     if (!found) break;
     result.schedule.type_of[best.module] = best.type;
-    weights[best.module] = inst.time(best.module, best.type);
+    ws.weights[best.module] = inst.time(best.module, best.type);
     current_cost += best.dc;
     ++result.iterations;
   }
@@ -163,9 +155,13 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
   Result result;
   result.schedule = fastest_schedule(inst);
   double current_cost = total_cost(inst, result.schedule);
-  auto weights = durations(inst, result.schedule);
   const auto computing = inst.workflow().computing_modules();
   const double eps = cost_eps(budget);
+  // ws.weights holds the current schedule's durations; V2 probes each
+  // candidate downgrade's makespan through it.
+  const dag::FlatDag& flat = inst.flat_dag();
+  dag::CpmWorkspace ws;
+  dag::makespan_into(flat, durations(inst, result.schedule), ws);
 
   const auto over_budget = [&] { return current_cost > budget + eps; };
 
@@ -193,7 +189,7 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
       if (!over_budget()) break;
       if (moved[mv.module]) continue;
       result.schedule.type_of[mv.module] = mv.type;
-      weights[mv.module] = inst.time(mv.module, mv.type);
+      ws.weights[mv.module] = inst.time(mv.module, mv.type);
       current_cost += mv.dc;
       moved[mv.module] = true;
       ++result.iterations;
@@ -204,10 +200,7 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
 
   while (over_budget()) {
     const double med_cur =
-        variant == GainLossVariant::V2
-            ? dag::makespan(inst.workflow().graph(), weights,
-                            inst.edge_times())
-            : 0.0;
+        variant == GainLossVariant::V2 ? dag::makespan_into(flat, ws) : 0.0;
     bool found = false;
     Move best;
     for (NodeId i : computing) {
@@ -218,7 +211,9 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
         if (saving <= 0.0) continue;
         double loss_t;
         if (variant == GainLossVariant::V2) {
-          loss_t = makespan_if(inst, weights, i, j) - med_cur;
+          ws.weights[i] = inst.time(i, j);
+          loss_t = dag::makespan_into(flat, ws) - med_cur;
+          ws.weights[i] = inst.time(i, cur);
         } else {
           loss_t = inst.time(i, j) - inst.time(i, cur);
         }
@@ -232,7 +227,7 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
     }
     MEDCC_ENSURES(found);  // guaranteed while cost > Cmin
     result.schedule.type_of[best.module] = best.type;
-    weights[best.module] = inst.time(best.module, best.type);
+    ws.weights[best.module] = inst.time(best.module, best.type);
     current_cost += best.dc;
     ++result.iterations;
   }

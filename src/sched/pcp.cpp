@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dag/cpm_kernel.hpp"
 #include "sched/bounds.hpp"
 #include "sched/verify_hook.hpp"
 
@@ -14,20 +15,14 @@ struct PcpState {
   double deadline = 0.0;
   Schedule schedule;
   std::vector<bool> assigned;  ///< path processing done for this module
-  std::vector<double> weights;
+  dag::CpmWorkspace ws;        ///< weights: the schedule's durations
   std::size_t paths = 0;
-
-  [[nodiscard]] double makespan() const {
-    return dag::makespan(inst->workflow().graph(), weights,
-                         inst->edge_times());
-  }
 
   /// Builds the partial critical path of unassigned modules ending just
   /// before `anchor`: repeatedly hop to the unassigned predecessor with
   /// the latest earliest-finish time. Returns front-to-back order.
   [[nodiscard]] std::vector<NodeId> partial_critical_path(NodeId anchor) {
-    const auto cpm = dag::compute_cpm(inst->workflow().graph(), weights,
-                                      inst->edge_times());
+    dag::makespan_into(inst->flat_dag(), ws);
     std::vector<NodeId> path;
     NodeId cursor = anchor;
     for (;;) {
@@ -35,8 +30,8 @@ struct PcpState {
       double latest = -1.0;
       for (NodeId p : inst->workflow().graph().predecessors(cursor)) {
         if (assigned[p]) continue;
-        if (cpm.eft[p] > latest) {
-          latest = cpm.eft[p];
+        if (ws.eft[p] > latest) {
+          latest = ws.eft[p];
           critical_parent = p;
         }
       }
@@ -69,10 +64,10 @@ struct PcpState {
                           : loss / saving;
           if (ratio >= best_ratio) continue;
           // Deadline feasibility of this single downgrade.
-          const double saved = weights[i];
-          weights[i] = inst->time(i, j);
-          const bool feasible = makespan() <= deadline + 1e-9;
-          weights[i] = saved;
+          ws.weights[i] = inst->time(i, j);
+          const bool feasible =
+              dag::makespan_into(inst->flat_dag(), ws) <= deadline + 1e-9;
+          ws.weights[i] = inst->time(i, cur);
           if (!feasible) continue;
           found = true;
           best_ratio = ratio;
@@ -82,7 +77,7 @@ struct PcpState {
       }
       if (!found) return;
       schedule.type_of[best_module] = best_type;
-      weights[best_module] = inst->time(best_module, best_type);
+      ws.weights[best_module] = inst->time(best_module, best_type);
     }
   }
 
@@ -106,8 +101,8 @@ PcpResult pcp_deadline(const Instance& inst, double deadline) {
   state.inst = &inst;
   state.deadline = deadline;
   state.schedule = fastest_schedule(inst);
-  state.weights = durations(inst, state.schedule);
-  if (state.makespan() > deadline + 1e-9)
+  if (dag::makespan_into(inst.flat_dag(), durations(inst, state.schedule),
+                         state.ws) > deadline + 1e-9)
     throw Infeasible("pcp_deadline: deadline below the fastest MED");
 
   state.assigned.assign(inst.module_count(), false);

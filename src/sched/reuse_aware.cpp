@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "dag/cpm_kernel.hpp"
 #include "sched/bounds.hpp"
 #include "sched/verify_hook.hpp"
 #include "sched/vm_reuse.hpp"
@@ -20,16 +21,18 @@ ReuseAwareResult critical_greedy_reuse_aware(const Instance& inst,
     throw Infeasible(os.str());
   }
 
-  auto weights = durations(inst, result.schedule);
-  const auto& graph = inst.workflow().graph();
+  const dag::FlatDag& flat = inst.flat_dag();
   const auto computing = inst.workflow().computing_modules();
   const double eps = 1e-9 * std::max(1.0, budget);
+
+  // ws holds the current schedule's durations and CPM state; each applied
+  // upgrade rewrites one weight and reruns the full pass.
+  dag::CpmWorkspace ws;
+  dag::cpm_into(flat, durations(inst, result.schedule), ws);
 
   for (;;) {
     const double left = budget - billed;
     if (left <= eps) break;
-
-    const auto cpm = dag::compute_cpm(graph, weights, inst.edge_times());
 
     bool found = false;
     NodeId best_module = 0;
@@ -38,7 +41,7 @@ ReuseAwareResult critical_greedy_reuse_aware(const Instance& inst,
     double best_dc = 0.0;
     double best_billed = 0.0;
     for (NodeId i : computing) {
-      if (!cpm.critical[i]) continue;
+      if (!ws.critical[i]) continue;
       const std::size_t cur = result.schedule.type_of[i];
       const double t_old = inst.time(i, cur);
       for (std::size_t j = 0; j < inst.type_count(); ++j) {
@@ -66,9 +69,10 @@ ReuseAwareResult critical_greedy_reuse_aware(const Instance& inst,
     }
     if (!found) break;
     result.schedule.type_of[best_module] = best_type;
-    weights[best_module] = inst.time(best_module, best_type);
+    ws.weights[best_module] = inst.time(best_module, best_type);
     billed = best_billed;
     ++result.iterations;
+    dag::cpm_into(flat, ws);
   }
 
   result.eval = evaluate(inst, result.schedule);

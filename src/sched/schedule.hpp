@@ -33,8 +33,8 @@ struct Evaluation {
 [[nodiscard]] double total_cost(const Instance& inst,
                                 const Schedule& schedule);
 
-/// Per-module execution durations under `schedule` (node-weight vector
-/// usable with dag::compute_cpm).
+/// Per-module execution durations under `schedule` (the node-weight
+/// vector the CPM kernels take).
 [[nodiscard]] std::vector<double> durations(const Instance& inst,
                                             const Schedule& schedule);
 

@@ -1,13 +1,11 @@
-// Differential and metamorphic tests for the allocation-free CPM kernel
+// Differential tests for the allocation-free CPM kernel
 // (dag/flat_dag.hpp + dag/cpm_kernel.hpp) against the legacy
 // dag::compute_cpm reference:
 //
 //  * export_result() must match compute_cpm bit for bit on random DAGs,
 //    including the extracted critical path;
-//  * incremental update_weight / update_weight_full over random
-//    weight-change sequences must stay bitwise-identical to a full
-//    recompute after every step;
-//  * rollback() must restore the pre-transaction state exactly;
+//  * the solvers' set/rerun/restore probe idiom must match a fresh
+//    reference after every in-place weight change;
 //  * one workspace reused across graphs of different sizes must keep
 //    producing reference results;
 //  * steady-state kernel calls must not touch the heap (verified by a
@@ -83,17 +81,6 @@ RandomCase random_case(std::uint64_t seed) {
   return c;
 }
 
-/// Bitwise comparison of kernel forward state vs the reference result.
-void expect_forward_equal(const CpmWorkspace& ws,
-                          const medcc::dag::CpmResult& ref) {
-  ASSERT_EQ(ws.est.size(), ref.est.size());
-  for (std::size_t v = 0; v < ref.est.size(); ++v) {
-    EXPECT_EQ(ws.est[v], ref.est[v]) << "est mismatch at node " << v;
-    EXPECT_EQ(ws.eft[v], ref.eft[v]) << "eft mismatch at node " << v;
-  }
-  EXPECT_EQ(ws.makespan, ref.makespan);
-}
-
 class KernelDifferentialTest : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -120,95 +107,41 @@ TEST_P(KernelDifferentialTest, ExportMatchesComputeCpmBitwise) {
   EXPECT_EQ(medcc::dag::makespan_into(flat, c.weights, ws2), ref.makespan);
 }
 
-TEST_P(KernelDifferentialTest, IncrementalForwardMatchesFullRecompute) {
+TEST_P(KernelDifferentialTest, ProbeAndRestoreMatchesComputeCpm) {
+  // The solvers' move-probe idiom: write one candidate weight into
+  // ws.weights, rerun the pass, put the old weight back. Every probe must
+  // equal a fresh reference on the modified weights, and the restore must
+  // leave the workspace scoring the original weights again.
   const auto c = random_case(GetParam());
-  const std::size_t n = c.graph.node_count();
   const FlatDag flat(c.graph, c.edge_weights);
   medcc::util::Prng rng(GetParam() * 7919 + 1);
-
-  CpmWorkspace inc;
-  medcc::dag::makespan_into(flat, c.weights, inc);
-  auto current = c.weights;
-
-  CpmWorkspace full;
-  for (int step = 0; step < 40; ++step) {
-    const auto v =
-        static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const double w = rng.bernoulli(0.15) ? 0.0 : rng.uniform_real(0.0, 12.0);
-    const double m = medcc::dag::update_weight(flat, inc, v, w);
-    medcc::dag::commit(inc);
-    current[v] = w;
-
-    const double m_full = medcc::dag::makespan_into(flat, current, full);
-    EXPECT_EQ(m, m_full) << "step " << step;
-    expect_forward_equal(inc, compute_cpm(c.graph, current, c.edge_weights));
-  }
-}
-
-TEST_P(KernelDifferentialTest, IncrementalFullMatchesCpmInto) {
-  const auto c = random_case(GetParam());
-  const std::size_t n = c.graph.node_count();
-  const FlatDag flat(c.graph, c.edge_weights);
-  medcc::util::Prng rng(GetParam() * 104729 + 3);
-
-  CpmWorkspace inc;
-  medcc::dag::cpm_into(flat, c.weights, inc);
-  auto current = c.weights;
-
-  for (int step = 0; step < 25; ++step) {
-    const auto v =
-        static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    const double w = rng.uniform_real(0.0, 12.0);
-    medcc::dag::update_weight_full(flat, inc, v, w);
-    current[v] = w;
-
-    // The maintained backward state must match both a fresh cpm_into and
-    // the legacy reference, bit for bit -- including criticality flags.
-    const auto ref = compute_cpm(c.graph, current, c.edge_weights);
-    const auto got = medcc::dag::export_result(flat, inc);
-    EXPECT_EQ(got.est, ref.est) << "step " << step;
-    EXPECT_EQ(got.eft, ref.eft) << "step " << step;
-    EXPECT_EQ(got.lst, ref.lst) << "step " << step;
-    EXPECT_EQ(got.lft, ref.lft) << "step " << step;
-    EXPECT_EQ(got.critical, ref.critical) << "step " << step;
-    EXPECT_EQ(got.critical_path, ref.critical_path) << "step " << step;
-    EXPECT_EQ(got.makespan, ref.makespan) << "step " << step;
-  }
-}
-
-TEST_P(KernelDifferentialTest, RollbackRestoresStateExactly) {
-  const auto c = random_case(GetParam());
-  const std::size_t n = c.graph.node_count();
-  const FlatDag flat(c.graph, c.edge_weights);
-  medcc::util::Prng rng(GetParam() * 31 + 17);
-
   CpmWorkspace ws;
-  medcc::dag::makespan_into(flat, c.weights, ws);
-  const auto est0 = ws.est;
-  const auto eft0 = ws.eft;
-  const auto weights0 = ws.weights;
-  const double makespan0 = ws.makespan;
-
-  // Chain several updates in one transaction (possibly hitting the same
-  // node twice), then abandon them all.
-  for (int k = 0; k < 5; ++k) {
-    const auto v =
-        static_cast<NodeId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    medcc::dag::update_weight(flat, ws, v, rng.uniform_real(0.0, 20.0));
+  const double base = medcc::dag::makespan_into(flat, c.weights, ws);
+  auto probed = c.weights;
+  for (NodeId v = 0; v < c.graph.node_count(); ++v) {
+    const double w = rng.bernoulli(0.15) ? 0.0 : rng.uniform_real(0.0, 12.0);
+    probed[v] = w;
+    ws.weights[v] = w;
+    EXPECT_EQ(medcc::dag::makespan_into(flat, ws),
+              compute_cpm(c.graph, probed, c.edge_weights).makespan)
+        << "node " << v;
+    probed[v] = c.weights[v];
+    ws.weights[v] = c.weights[v];
   }
-  medcc::dag::rollback(ws);
+  EXPECT_EQ(medcc::dag::makespan_into(flat, ws), base);
 
-  EXPECT_EQ(ws.est, est0);
-  EXPECT_EQ(ws.eft, eft0);
-  EXPECT_EQ(ws.weights, weights0);
-  EXPECT_EQ(ws.makespan, makespan0);
-
-  // The workspace is immediately reusable for further updates.
-  const double m = medcc::dag::update_weight(flat, ws, 0, 1.5);
-  medcc::dag::commit(ws);
-  auto current = c.weights;
-  current[0] = 1.5;
-  EXPECT_EQ(m, compute_cpm(c.graph, current, c.edge_weights).makespan);
+  // Full passes after in-place edits track the reference, criticality
+  // flags and critical path included.
+  for (NodeId v = 0; v < c.graph.node_count(); ++v) {
+    ws.weights[v] = probed[v] = rng.uniform_real(0.0, 12.0);
+    medcc::dag::cpm_into(flat, ws);
+    const auto ref = compute_cpm(c.graph, probed, c.edge_weights);
+    const auto got = medcc::dag::export_result(flat, ws);
+    EXPECT_EQ(got.lst, ref.lst) << "node " << v;
+    EXPECT_EQ(got.critical, ref.critical) << "node " << v;
+    EXPECT_EQ(got.critical_path, ref.critical_path) << "node " << v;
+    EXPECT_EQ(got.makespan, ref.makespan) << "node " << v;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelDifferentialTest,
@@ -250,10 +183,7 @@ TEST(CpmKernel, SingleNode) {
   CpmWorkspace ws;
   medcc::dag::cpm_into(flat, std::vector<double>{3.0}, ws);
   EXPECT_EQ(ws.makespan, 3.0);
-  EXPECT_EQ(medcc::dag::update_weight(flat, ws, 0, 7.5), 7.5);
-  medcc::dag::rollback(ws);
-  EXPECT_EQ(ws.makespan, 3.0);
-  medcc::dag::update_weight_full(flat, ws, 0, 0.0);
+  medcc::dag::cpm_into(flat, std::vector<double>{0.0}, ws);
   const auto got = medcc::dag::export_result(flat, ws);
   const auto ref = compute_cpm(g, std::vector<double>{0.0});
   EXPECT_EQ(got.critical, ref.critical);
@@ -284,22 +214,20 @@ TEST(CpmKernelAlloc, SteadyStateKernelsAreAllocationFree) {
   auto perturbed = c.weights;
   for (auto& w : perturbed) w *= 0.5;
   const NodeId a = 0;
-  const auto b = static_cast<NodeId>(n - 1);
 
   // One deterministic op sequence covering every kernel entry point. The
   // first run warms the workspace to its high-water capacity; the second,
   // identical run must not allocate at all.
   const auto run_ops = [&] {
     double acc = medcc::dag::makespan_into(flat, c.weights, ws);
-    acc += medcc::dag::makespan_into(flat, ws);  // in-place weights
-    medcc::dag::update_weight(flat, ws, a, 5.0);
-    medcc::dag::update_weight(flat, ws, b, 0.25);
-    medcc::dag::rollback(ws);
-    medcc::dag::update_weight(flat, ws, a, 2.0);
-    medcc::dag::commit(ws);
+    // The probe idiom: set one weight in place, rerun, restore.
+    ws.weights[a] = 5.0;
+    acc += medcc::dag::makespan_into(flat, ws);
+    ws.weights[a] = c.weights[a];
     medcc::dag::cpm_into(flat, c.weights, ws);
-    acc += medcc::dag::update_weight_full(flat, ws, b, 4.0);
-    acc += medcc::dag::update_weight_full(flat, ws, a, 0.0);
+    ws.weights[a] = 0.0;
+    medcc::dag::cpm_into(flat, ws);
+    acc += ws.makespan;
     medcc::dag::cpm_into(flat, perturbed, ws);
     return acc + ws.makespan;
   };

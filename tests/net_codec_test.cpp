@@ -1,7 +1,8 @@
 // Robustness and round-trip correctness of the MED-CC wire codec:
 // frame-header parsing against truncation, bad magic/version/type and
 // oversized length prefixes; decode(encode(x)) field-identical (doubles
-// compared bit-for-bit) for handcrafted and randomized instances; byte
+// compared bit-for-bit) for handcrafted and randomized instances;
+// non-finite instance numbers rejected as bad_body; byte
 // chop/flip and random-bytes fuzz loops that must always surface as
 // CodecError, never UB (the ASan+UBSan CI leg runs this binary).
 #include "net/codec.hpp"
@@ -395,6 +396,65 @@ TEST(NetCodec, HostileElementCountsDoNotAllocate) {
   w.f64(1.0);
   w.u32((1u << 20) - 1);  // hostile module count
   EXPECT_THROW((void)medcc::net::decode_solve_request(w.bytes()), CodecError);
+}
+
+/// A minimal valid solve-request body (fixed entry -> one computing
+/// module, one VM type) whose `poisoned`-th instance number, counted in
+/// wire order, is replaced by `poison`. Out-of-range indices poison
+/// nothing.
+std::string request_body_with(std::size_t poisoned, double poison) {
+  std::size_t slot = 0;
+  WireWriter w;
+  const auto number = [&](double value) {
+    w.f64(slot++ == poisoned ? poison : value);
+  };
+  w.f64(10.0);  // budget
+  w.f64(0.0);   // deadline
+  w.str("cg");
+  w.str("");
+  w.str("");
+  number(1.0);  // billing quantum
+  number(2.0);  // bandwidth
+  number(0.5);  // link delay
+  number(0.1);  // transfer cost rate
+  w.u32(1);     // catalog size
+  w.str("vt0");
+  number(3.0);  // processing power
+  number(1.0);  // cost rate
+  w.u32(2);     // modules
+  w.str("entry");
+  w.u8(1);      // fixed
+  number(0.0);  // fixed duration
+  w.str("work");
+  w.u8(0);      // computing
+  number(12.0);  // workload
+  w.u32(1);     // edges
+  w.u32(0);
+  w.u32(1);
+  number(4.0);  // data size
+  w.u32(1);     // time-matrix rows
+  w.u32(1);     // time-matrix cols
+  number(4.0);  // T(E_11)
+  return w.take();
+}
+
+TEST(NetCodec, NonFiniteInstanceNumbersRejectedAsBadBody) {
+  constexpr std::size_t kNumbers = 10;
+  ASSERT_NO_THROW((void)medcc::net::decode_solve_request(
+      request_body_with(kNumbers, 0.0)));
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()}) {
+    for (std::size_t slot = 0; slot < kNumbers; ++slot) {
+      try {
+        (void)medcc::net::decode_solve_request(request_body_with(slot, poison));
+        ADD_FAILURE() << "number " << slot << " = " << poison << " decoded";
+      } catch (const CodecError& err) {
+        EXPECT_EQ(err.code(), WireError::bad_body)
+            << "number " << slot << " = " << poison;
+      }
+    }
+  }
 }
 
 TEST(NetCodec, RandomBytesNeverCrashDecoders) {

@@ -6,7 +6,7 @@
 //
 // Token-stream rules (new): mutable-field-near-mutex-without-guarded-by,
 // detached-thread, lock-guard-unused, raw-fopen, catch-by-value,
-// large-value-param.
+// large-value-param, legacy-cpm-in-library.
 #include <algorithm>
 #include <cctype>
 #include <set>
@@ -827,6 +827,45 @@ class LargeValueParamRule final : public Rule {
   }
 };
 
+// ---------------------------------------------------------------------------
+// legacy-cpm-in-library
+
+class LegacyCpmInLibraryRule final : public Rule {
+ public:
+  [[nodiscard]] std::string id() const override {
+    return "legacy-cpm-in-library";
+  }
+
+  [[nodiscard]] std::string rationale() const override {
+    return "dag::compute_cpm / dag::makespan are the independent reference "
+           "the CPM kernels are tested against; library code evaluates "
+           "makespans only through dag/cpm_kernel.hpp, so a second engine "
+           "cannot creep back";
+  }
+
+  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+    // The reference implementation itself (declarations + definitions).
+    if (path_contains(file.path, "dag/critical_path.")) return;
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (!is_punct(toks[i + 1], '(')) continue;
+      const bool legacy_cpm = is_ident(toks[i], "compute_cpm");
+      const bool legacy_makespan =
+          is_ident(toks[i], "makespan") && i >= 3 &&
+          is_punct(toks[i - 1], ':') && is_punct(toks[i - 2], ':') &&
+          is_ident(toks[i - 3], "dag");
+      if (!legacy_cpm && !legacy_makespan) continue;
+      out.push_back(Finding{
+          file.path.string(), toks[i].line, id(),
+          std::string("'") + (legacy_cpm ? "compute_cpm" : "dag::makespan") +
+              "' calls the reference CPM outside src/dag/critical_path",
+          "score through the instance's FlatDag: write weights into a "
+          "dag::CpmWorkspace and call dag::makespan_into / dag::cpm_into "
+          "(+ export_result)"});
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> make_all_rules() {
@@ -843,6 +882,7 @@ std::vector<std::unique_ptr<Rule>> make_all_rules() {
   rules.push_back(std::make_unique<RawStderrRule>());
   rules.push_back(std::make_unique<CatchByValueRule>());
   rules.push_back(std::make_unique<LargeValueParamRule>());
+  rules.push_back(std::make_unique<LegacyCpmInLibraryRule>());
   return rules;
 }
 
