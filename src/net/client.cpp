@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "util/backoff.hpp"
+#include "util/bytes.hpp"
 
 namespace medcc::net {
 
@@ -356,26 +357,16 @@ util::FdHandle multi_connect(const std::string& host, std::uint16_t port,
                  " failed: " + last_error);
 }
 
-/// Patches the little-endian request id at byte 8 of the frame that
-/// starts at `at` in `buffer`.
-void patch_request_id(std::string& buffer, std::size_t at, std::uint64_t id) {
-  for (std::size_t i = 0; i < 8; ++i)
-    buffer[at + 8 + i] = static_cast<char>((id >> (8 * i)) & 0xffu);
-}
-
 /// Patches the 17-byte trace context at the start of the body of the
-/// traced_solve_request frame that starts at `at` in `buffer` (little-
-/// endian id halves + flags byte, mirroring append_trace_context). The
-/// inner solve_request bytes behind it stay verbatim.
+/// traced_solve_request frame that starts at `at` in `buffer` (the
+/// append_trace_context layout). The inner solve_request bytes behind it
+/// stay verbatim.
 void patch_trace_context(std::string& buffer, std::size_t at,
                          const obs::TraceContext& context) {
-  const std::size_t base = at + kHeaderSize;
-  for (std::size_t i = 0; i < 8; ++i)
-    buffer[base + i] = static_cast<char>((context.id.hi >> (8 * i)) & 0xffu);
-  for (std::size_t i = 0; i < 8; ++i)
-    buffer[base + 8 + i] =
-        static_cast<char>((context.id.lo >> (8 * i)) & 0xffu);
-  buffer[base + 16] = static_cast<char>(context.sampled ? 1 : 0);
+  char* const prefix = buffer.data() + at + kHeaderSize;
+  util::store_le64(prefix, context.id.hi);
+  util::store_le64(prefix + 8, context.id.lo);
+  prefix[16] = static_cast<char>(context.sampled ? 1 : 0);
 }
 
 }  // namespace
@@ -413,7 +404,7 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
     while (assigned < total && conn.in_flight.size() < window) {
       const std::size_t at = conn.outbuf.size();
       conn.outbuf.append(frame);
-      patch_request_id(conn.outbuf, at, next_id);
+      set_request_id(conn.outbuf.data() + at, next_id);
       if (tracer != nullptr)
         patch_trace_context(conn.outbuf, at, tracer->new_context());
       conn.in_flight.emplace(next_id, std::chrono::steady_clock::now());

@@ -1,6 +1,5 @@
 #include "net/codec.hpp"
 
-#include <bit>
 #include <cmath>
 #include <memory>
 #include <utility>
@@ -43,80 +42,14 @@ const char* to_string(WireError code) {
   return "unknown";
 }
 
-// -- primitives -----------------------------------------------------------
-
-void WireWriter::u8(std::uint8_t v) {
-  out_.push_back(static_cast<char>(v));
-}
-
-void WireWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v));
-  u8(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v));
-  u16(static_cast<std::uint16_t>(v >> 16));
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::str(std::string_view s) {
-  MEDCC_EXPECTS(s.size() <= kMaxString);
-  u32(static_cast<std::uint32_t>(s.size()));
-  out_.append(s.data(), s.size());
-}
-
-std::uint8_t WireReader::u8() {
-  if (remaining() < 1) fail(WireError::truncated, "wire: truncated u8");
-  return static_cast<std::uint8_t>(data_[pos_++]);
-}
-
-std::uint16_t WireReader::u16() {
-  const std::uint16_t lo = u8();
-  const std::uint16_t hi = u8();
-  return static_cast<std::uint16_t>(lo | (hi << 8));
-}
-
-std::uint32_t WireReader::u32() {
-  const std::uint32_t lo = u16();
-  const std::uint32_t hi = u16();
-  return lo | (hi << 16);
-}
-
-std::uint64_t WireReader::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | (hi << 32);
-}
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string WireReader::str(std::size_t max_len) {
-  const std::uint32_t len = u32();
-  if (len > max_len)
-    fail(WireError::limit_exceeded, "wire: string exceeds limit");
-  if (len > remaining()) fail(WireError::truncated, "wire: truncated string");
-  std::string out(data_.substr(pos_, len));
-  pos_ += len;
-  return out;
-}
-
-void WireReader::expect_done() const {
-  if (!done())
-    fail(WireError::trailing_bytes, "wire: trailing bytes after message");
-}
-
-void WireReader::expect_fits(std::uint64_t count,
-                             std::size_t min_bytes_each) const {
-  if (count > remaining() / min_bytes_each)
-    fail(WireError::limit_exceeded,
-         "wire: element count exceeds the bytes present");
+void WireFail::fail(util::ByteFault fault, const char* what) {
+  WireError code = WireError::truncated;
+  switch (fault) {
+    case util::ByteFault::truncated: code = WireError::truncated; break;
+    case util::ByteFault::too_long: code = WireError::limit_exceeded; break;
+    case util::ByteFault::trailing: code = WireError::trailing_bytes; break;
+  }
+  throw CodecError(code, std::string("wire: ") + what);
 }
 
 // -- framing --------------------------------------------------------------
@@ -174,7 +107,7 @@ std::optional<FrameHeader> parse_frame_header(std::string_view buffer,
 std::string encode_frame(FrameType type, std::uint64_t request_id,
                          std::string_view body) {
   MEDCC_EXPECTS(body.size() <= kDefaultMaxBody);
-  WireWriter writer;
+  util::ByteWriter writer;
   writer.u32(kMagic);
   writer.u16(version_for(type));
   writer.u16(static_cast<std::uint16_t>(type));
@@ -189,7 +122,8 @@ std::string encode_frame(FrameType type, std::uint64_t request_id,
 
 namespace {
 
-void encode_instance(WireWriter& writer, const sched::Instance& instance) {
+void encode_instance(util::ByteWriter& writer,
+                     const sched::Instance& instance) {
   const auto& wf = instance.workflow();
   const auto& graph = wf.graph();
   const auto& catalog = instance.catalog();
@@ -233,12 +167,13 @@ void encode_instance(WireWriter& writer, const sched::Instance& instance) {
       writer.f64(instance.time(i, j));
 }
 
-/// Reads a number the instance model computes with. The CPM and cost
-/// recurrences require finite inputs, so NaN and +-inf are malformed.
+/// Reads a number the solvers compute with (the budget, the deadline,
+/// every instance number). The CPM and cost recurrences require finite
+/// inputs, so NaN and +-inf are malformed.
 double finite_f64(WireReader& reader) {
   const double value = reader.f64();
   if (!std::isfinite(value))
-    fail(WireError::bad_body, "wire: non-finite number in instance");
+    fail(WireError::bad_body, "wire: non-finite number in request");
   return value;
 }
 
@@ -327,7 +262,7 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
 std::string encode_solve_request(const service::SchedulingRequest& request,
                                  std::uint64_t request_id) {
   MEDCC_EXPECTS(request.instance != nullptr);
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.f64(request.budget);
   writer.f64(request.deadline_ms);
   writer.str(request.solver);
@@ -340,8 +275,8 @@ std::string encode_solve_request(const service::SchedulingRequest& request,
 service::SchedulingRequest decode_solve_request(std::string_view body) {
   WireReader reader(body);
   service::SchedulingRequest request;
-  request.budget = reader.f64();
-  request.deadline_ms = reader.f64();
+  request.budget = finite_f64(reader);
+  request.deadline_ms = finite_f64(reader);
   request.solver = reader.str(kMaxString);
   request.config = reader.str(kMaxString);
   request.tenant = reader.str(kMaxString);
@@ -353,7 +288,7 @@ service::SchedulingRequest decode_solve_request(std::string_view body) {
 // -- trace context / traced solve ------------------------------------------
 
 void append_trace_context(std::string& out, const obs::TraceContext& context) {
-  WireWriter writer;
+  util::ByteWriter writer;
   writer.u64(context.id.hi);
   writer.u64(context.id.lo);
   writer.u8(context.sampled ? 1 : 0);
@@ -386,12 +321,10 @@ std::string encode_traced_solve_request(
 }
 
 TracedSolveBody split_traced_solve_request(std::string_view body) {
-  if (body.size() < kTraceContextSize)
-    fail(WireError::truncated, "wire: truncated trace context");
-  WireReader reader(body.substr(0, kTraceContextSize));
+  WireReader reader(body);
   TracedSolveBody split;
   split.trace = read_trace_context(reader);
-  split.inner = body.substr(kTraceContextSize);
+  split.inner = reader.view(reader.remaining());
   return split;
 }
 
@@ -399,7 +332,7 @@ TracedSolveBody split_traced_solve_request(std::string_view body) {
 
 std::string encode_solve_response(const service::SchedulingResponse& response,
                                   std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.u8(static_cast<std::uint8_t>(response.status));
   writer.u8(static_cast<std::uint8_t>(response.reject_reason));
   writer.u8(static_cast<std::uint8_t>(response.cache));
@@ -457,7 +390,7 @@ service::SchedulingResponse decode_solve_response(std::string_view body) {
 
 std::string encode_stats_request(StatsFormat format,
                                  std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer;
   writer.u8(static_cast<std::uint8_t>(format));
   return encode_frame(FrameType::stats_request, request_id, writer.bytes());
 }
@@ -473,7 +406,7 @@ StatsFormat decode_stats_request(std::string_view body) {
 
 std::string encode_stats_response(std::string_view dump,
                                   std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.str(dump);
   return encode_frame(FrameType::stats_response, request_id, writer.bytes());
 }
@@ -489,7 +422,7 @@ std::string decode_stats_response(std::string_view body) {
 
 std::string encode_error(WireError code, std::string_view message,
                          std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.u16(static_cast<std::uint16_t>(code));
   writer.str(message);
   return encode_frame(FrameType::error, request_id, writer.bytes());
@@ -514,7 +447,7 @@ namespace {
 
 std::string encode_hello(FrameType type, const Hello& hello,
                          std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.u16(hello.version);
   writer.u32(hello.features);
   writer.str(hello.node_id);
@@ -558,41 +491,29 @@ Hello decode_hello_response(std::string_view body) {
 std::string encode_repl_insert(std::string_view payload,
                                std::uint64_t request_id,
                                const obs::TraceContext& trace) {
-  MEDCC_EXPECTS(payload.size() <= kMaxReplPayload);
-  // Raw u32 length + bytes (WireWriter::str caps at kMaxString, which
-  // is below the record ceiling). A valid trace context rides as a
+  // The payload travels as a length-prefixed string under the record
+  // ceiling (above kMaxString). A valid trace context rides as a
   // fixed-size suffix so pre-tracing decoders that reject it do so
   // with a clean trailing_bytes.
-  WireWriter writer;
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
+  util::ByteWriter writer(kMaxReplPayload);
+  writer.str(payload);
   std::string body = writer.take();
-  body.append(payload.data(), payload.size());
   if (trace.valid()) append_trace_context(body, trace);
   return encode_frame(FrameType::repl_insert, request_id, body);
 }
 
 ReplRecord decode_repl_insert(std::string_view body) {
   WireReader reader(body);
-  const std::uint32_t len = reader.u32();
-  if (len > kMaxReplPayload)
-    fail(WireError::limit_exceeded, "wire: replicated record too large");
-  if (len > reader.remaining())
-    fail(WireError::truncated, "wire: truncated replicated record");
   ReplRecord record;
-  record.payload.assign(body.substr(body.size() - reader.remaining(), len));
-  const std::size_t rest = reader.remaining() - len;
-  if (rest == kTraceContextSize) {
-    WireReader suffix(body.substr(body.size() - kTraceContextSize));
-    record.trace = read_trace_context(suffix);
-  } else if (rest != 0) {
-    fail(WireError::trailing_bytes,
-         "wire: trailing bytes after replicated record");
-  }
+  record.payload = reader.str(kMaxReplPayload);
+  if (reader.remaining() == kTraceContextSize)
+    record.trace = read_trace_context(reader);
+  reader.expect_done();
   return record;
 }
 
 std::string encode_repl_ack(const ReplAck& ack, std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.u8(ack.applied ? 1 : 0);
   writer.str(ack.error);
   return encode_frame(FrameType::repl_ack, request_id, writer.bytes());
@@ -624,7 +545,7 @@ std::string encode_cluster_status_request(std::uint64_t request_id) {
 
 std::string encode_cluster_status_response(const ClusterStatus& status,
                                            std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.str(status.node_id);
   writer.u16(status.protocol_version);
   writer.u64(status.repl_applied);
@@ -676,7 +597,7 @@ ClusterStatus decode_cluster_status_response(std::string_view body) {
 
 std::string encode_trace_dump_request(std::uint32_t max_traces,
                                       std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer;
   writer.u32(max_traces);
   return encode_frame(FrameType::trace_dump_request, request_id,
                       writer.bytes());
@@ -691,7 +612,7 @@ std::uint32_t decode_trace_dump_request(std::string_view body) {
 
 std::string encode_trace_dump_response(const TraceDump& dump,
                                        std::uint64_t request_id) {
-  WireWriter writer;
+  util::ByteWriter writer(kMaxString);
   writer.str(dump.node_id);
   writer.u8(dump.enabled ? 1 : 0);
   writer.u64(dump.started);

@@ -30,7 +30,8 @@
 // connection (Client::solve_batch does exactly that).
 //
 // Decoding is fuzz-resistant by construction: every read goes through a
-// bounds-checked WireReader, element counts are validated against the
+// bounds-checked WireReader (the util/bytes.hpp reader, shared with the
+// persistence formats), element counts are validated against the
 // bytes actually present before any allocation, and all failures --
 // truncation, bad magic/version, oversized prefixes, malformed bodies,
 // trailing garbage -- surface as a structured CodecError, never as UB.
@@ -46,6 +47,7 @@
 
 #include "obs/trace.hpp"
 #include "service/request.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace medcc::net {
@@ -114,6 +116,16 @@ private:
   WireError code_;
 };
 
+/// Byte-reader policy of the wire codec: truncation, over-limit lengths
+/// and trailing bytes become CodecError(truncated | limit_exceeded |
+/// trailing_bytes).
+struct WireFail {
+  [[noreturn]] static void fail(util::ByteFault fault, const char* what);
+};
+
+/// Bounds-checked reader every decoder below reads its body through.
+using WireReader = util::ByteReader<WireFail>;
+
 struct FrameHeader {
   FrameType type = FrameType::error;
   /// Header version the frame arrived with (1 for the legacy types,
@@ -134,6 +146,12 @@ struct FrameHeader {
 [[nodiscard]] std::string encode_frame(FrameType type,
                                        std::uint64_t request_id,
                                        std::string_view body);
+
+/// Overwrites, in place, the request id of the encoded frame that starts
+/// at `frame` (the little-endian u64 at header offset 8).
+inline void set_request_id(char* frame, std::uint64_t request_id) {
+  util::store_le64(frame + 8, request_id);
+}
 
 // -- solve ----------------------------------------------------------------
 
@@ -163,8 +181,6 @@ struct FrameHeader {
     std::string_view body);
 
 // -- trace context (tracing extension, protocol v2) ------------------------
-
-class WireReader;  // declared with the primitives below
 
 /// Fixed wire size of one trace context: u64 id hi, u64 id lo, u8 flags
 /// (bit 0 = sampled). In a traced_solve_request the context is the
@@ -340,54 +356,5 @@ inline constexpr std::uint64_t kMaxDumpSpans = 1024;
 [[nodiscard]] std::string encode_trace_dump_response(
     const TraceDump& dump, std::uint64_t request_id);
 [[nodiscard]] TraceDump decode_trace_dump_response(std::string_view body);
-
-// -- primitives (exposed for tests) ---------------------------------------
-
-/// Append-only little-endian encoder.
-class WireWriter {
-public:
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  /// IEEE-754 bits via the u64 path: round-trips every double bit-exactly.
-  void f64(double v);
-  /// u32 length prefix + raw bytes.
-  void str(std::string_view s);
-
-  [[nodiscard]] const std::string& bytes() const { return out_; }
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
-private:
-  std::string out_;
-};
-
-/// Bounds-checked little-endian decoder over a borrowed buffer; every
-/// underflow throws CodecError(WireError::truncated).
-class WireReader {
-public:
-  explicit WireReader(std::string_view data) : data_(data) {}
-
-  [[nodiscard]] std::uint8_t u8();
-  [[nodiscard]] std::uint16_t u16();
-  [[nodiscard]] std::uint32_t u32();
-  [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] double f64();
-  /// Reads a length-prefixed string of at most `max_len` bytes.
-  [[nodiscard]] std::string str(std::size_t max_len);
-
-  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
-  [[nodiscard]] bool done() const { return pos_ == data_.size(); }
-  /// Throws CodecError(trailing_bytes) unless the buffer is exhausted.
-  void expect_done() const;
-  /// Throws CodecError(limit_exceeded) when `count` elements of at least
-  /// `min_bytes_each` cannot possibly fit in the remaining bytes -- the
-  /// guard that keeps hostile counts from driving huge allocations.
-  void expect_fits(std::uint64_t count, std::size_t min_bytes_each) const;
-
-private:
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace medcc::net

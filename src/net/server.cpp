@@ -702,13 +702,12 @@ void Server::queue_output(Reactor& r, Connection& conn, std::string bytes) {
 void Server::queue_cached_frame(Reactor& r, Connection& conn,
                                 const std::string& frame, std::uint64_t id) {
   frames_out_.add();
-  // The frame lands contiguously in one chunk so the request id (a
-  // little-endian u64 at byte 8 of the header) can be patched in place.
+  // The frame lands contiguously in one chunk so its request id can be
+  // patched in place.
   std::string& chunk = output_chunk(r, conn, frame.size());
   const std::size_t at = chunk.size();
   chunk.append(frame);
-  for (std::size_t i = 0; i < 8; ++i)
-    chunk[at + 8 + i] = static_cast<char>((id >> (8 * i)) & 0xffu);
+  set_request_id(chunk.data() + at, id);
   conn.out_bytes += frame.size();
   after_output(r, conn);
 }

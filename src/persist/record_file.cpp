@@ -6,8 +6,12 @@
 
 namespace medcc::persist {
 
+void RecordFail::fail(util::ByteFault /*fault*/, const char* what) {
+  throw PersistError(std::string("persist: ") + what);
+}
+
 std::string encode_file_header(std::uint32_t magic) {
-  Writer writer;
+  util::ByteWriter writer;
   writer.u32(magic);
   writer.u16(kFormatVersion);
   writer.u16(0);  // reserved
@@ -15,7 +19,7 @@ std::string encode_file_header(std::uint32_t magic) {
 }
 
 std::string frame_record(std::string_view payload) {
-  Writer writer;
+  util::ByteWriter writer;
   writer.u32(static_cast<std::uint32_t>(payload.size()));
   writer.u32(util::crc32(payload));
   std::string out = writer.take();
@@ -36,7 +40,7 @@ ReadResult parse_record_file(std::string_view bytes, std::uint32_t magic,
     result.truncated = true;
     return result;
   }
-  Reader header(bytes.substr(0, kFileHeaderSize));
+  RecordReader header(bytes.substr(0, kFileHeaderSize));
   const std::uint32_t seen_magic = header.u32();
   const std::uint16_t version = header.u16();
   (void)header.u16();  // reserved
@@ -54,7 +58,7 @@ ReadResult parse_record_file(std::string_view bytes, std::uint32_t magic,
       result.truncated = true;
       break;
     }
-    Reader record_header(bytes.substr(pos, kRecordHeaderSize));
+    RecordReader record_header(bytes.substr(pos, kRecordHeaderSize));
     const std::uint32_t length = record_header.u32();
     const std::uint32_t crc = record_header.u32();
     if (length > max_record_bytes ||

@@ -28,6 +28,10 @@
 // A *wrong* file -- good length, bad magic or unsupported version -- is
 // distinguished from a torn one and throws PersistError instead, so a
 // snapshot accidentally pointed at a journal path fails loudly.
+//
+// Headers and record payloads are encoded with the shared little-endian
+// layer (util/bytes.hpp); RecordReader is its bounds-checked reader with
+// every fault surfacing as PersistError.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +40,26 @@
 #include <string_view>
 #include <vector>
 
-#include "persist/wire.hpp"
+#include "util/bytes.hpp"
+#include "util/error.hpp"
 
 namespace medcc::persist {
+
+/// Malformed persisted bytes (or a filesystem-level persistence
+/// failure); decoding never exhibits UB, it throws this.
+class PersistError : public Error {
+public:
+  explicit PersistError(const std::string& what) : Error(what) {}
+};
+
+/// Byte-reader policy of the persistence formats: every fault throws
+/// PersistError.
+struct RecordFail {
+  [[noreturn]] static void fail(util::ByteFault fault, const char* what);
+};
+
+/// Bounds-checked reader for record-file headers and record payloads.
+using RecordReader = util::ByteReader<RecordFail>;
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x5053444Du;  // "MDSP"
 inline constexpr std::uint32_t kJournalMagic = 0x4C4A444Du;   // "MDJL"

@@ -3,23 +3,25 @@
 #include <cstdint>
 #include <vector>
 
-#include "persist/wire.hpp"
+#include "persist/record_file.hpp"
+#include "util/bytes.hpp"
 
 namespace medcc::service {
 
 namespace {
 
-void put_f64_vector(persist::Writer& w, const std::vector<double>& v) {
+void put_f64_vector(util::ByteWriter& w, const std::vector<double>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const double x : v) w.f64(x);
 }
 
-void put_index_vector(persist::Writer& w, const std::vector<std::size_t>& v) {
+void put_index_vector(util::ByteWriter& w,
+                      const std::vector<std::size_t>& v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
   for (const std::size_t x : v) w.u64(x);
 }
 
-std::vector<double> get_f64_vector(persist::Reader& r) {
+std::vector<double> get_f64_vector(persist::RecordReader& r) {
   const std::uint32_t count = r.u32();
   r.expect_fits(count, sizeof(double));
   std::vector<double> v;
@@ -28,7 +30,7 @@ std::vector<double> get_f64_vector(persist::Reader& r) {
   return v;
 }
 
-std::vector<std::size_t> get_index_vector(persist::Reader& r,
+std::vector<std::size_t> get_index_vector(persist::RecordReader& r,
                                           std::size_t max_count) {
   const std::uint32_t count = r.u32();
   if (count > max_count)
@@ -44,7 +46,7 @@ std::vector<std::size_t> get_index_vector(persist::Reader& r,
 }  // namespace
 
 std::string encode_cache_record(const CacheEntry& entry) {
-  persist::Writer w;
+  util::ByteWriter w(kMaxPersistedString);
   w.u16(kCacheRecordVersion);
   w.u64(entry.key.hi);
   w.u64(entry.key.lo);
@@ -79,7 +81,7 @@ std::string encode_cache_record(const CacheEntry& entry) {
 }
 
 CacheEntry decode_cache_record(std::string_view payload) {
-  persist::Reader r(payload);
+  persist::RecordReader r(payload);
   const std::uint16_t version = r.u16();
   if (version != kCacheRecordVersion)
     throw persist::PersistError("cache record: unsupported payload version " +

@@ -8,8 +8,8 @@
 // byte-identically to the live solve that produced it, in-process and
 // over the wire.
 //
-// Decoding follows the bounds-checked discipline of persist::Reader:
-// element counts are validated against the remaining bytes before any
+// Decoding reads through persist::RecordReader (util/bytes.hpp): element
+// counts are validated against the remaining bytes before any
 // allocation, strings are length-capped, and every malformed shape
 // throws persist::PersistError. A payload whose version is newer than
 // this build also throws, so warm start skips it (counted as a load

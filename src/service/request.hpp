@@ -63,7 +63,7 @@ enum class RejectReason {
   shutting_down,     ///< service drain/shutdown already started
   deadline_expired,  ///< spent longer than deadline_ms in the queue
   unknown_solver,    ///< no such id in the solver registry
-  invalid_request,   ///< null instance or non-finite/negative budget
+  invalid_request,   ///< null instance, bad budget or NaN/negative deadline
   tenant_quota,      ///< tenant already at max_inflight_per_tenant
   flow_control,      ///< connection exceeded max_inflight_frames
 };

@@ -150,7 +150,8 @@ void SchedulingService::submit_async(
   }
   if (ticket->request.instance == nullptr ||
       !std::isfinite(ticket->request.budget) ||
-      ticket->request.budget < 0.0 || ticket->request.deadline_ms < 0.0) {
+      ticket->request.budget < 0.0 ||
+      !(ticket->request.deadline_ms >= 0.0)) {  // a NaN deadline fails too
     reject(RejectReason::invalid_request);
     return;
   }

@@ -2,15 +2,17 @@
 // frame-header parsing against truncation, bad magic/version/type and
 // oversized length prefixes; decode(encode(x)) field-identical (doubles
 // compared bit-for-bit) for handcrafted and randomized instances;
-// non-finite instance numbers rejected as bad_body; byte
-// chop/flip and random-bytes fuzz loops that must always surface as
-// CodecError, never UB (the ASan+UBSan CI leg runs this binary).
+// non-finite budget, deadline and instance numbers rejected as
+// bad_body; byte chop/flip and random-bytes fuzz loops over every v1 and
+// v2 body that must always surface as CodecError, never UB (the
+// ASan+UBSan CI leg runs this binary).
 #include "net/codec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -20,8 +22,10 @@
 #include "cloud/billing.hpp"
 #include "cloud/cost_model.hpp"
 #include "cloud/vm_type.hpp"
+#include "obs/trace.hpp"
 #include "sched/instance.hpp"
 #include "service/request.hpp"
+#include "util/bytes.hpp"
 #include "util/prng.hpp"
 #include "workflow/patterns.hpp"
 #include "workflow/random_workflow.hpp"
@@ -37,13 +41,13 @@ using medcc::net::FrameType;
 using medcc::net::StatsFormat;
 using medcc::net::WireError;
 using medcc::net::WireReader;
-using medcc::net::WireWriter;
 using medcc::sched::Instance;
 using medcc::service::CacheOutcome;
 using medcc::service::RejectReason;
 using medcc::service::ResponseStatus;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
+using medcc::util::ByteWriter;
 
 void expect_bits_equal(double a, double b) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
@@ -352,15 +356,80 @@ TEST(NetCodec, ErrorFrameRoundTrips) {
 
 // -- hostile bytes --------------------------------------------------------
 
+/// The body of an encoded frame.
+std::string body_of(const std::string& frame) {
+  return frame.substr(medcc::net::kHeaderSize);
+}
+
+/// One valid body of every request/response a peer decodes, v1 and v2,
+/// with the decoder that reads it.
+struct BodyCase {
+  const char* name;
+  std::string body;
+  std::function<void(std::string_view)> decode;
+};
+
+std::vector<BodyCase> valid_bodies() {
+  namespace net = medcc::net;
+  const medcc::obs::TraceContext trace{{0x1122, 0x3344}, true};
+  net::ClusterStatus status;
+  status.node_id = "node-a";
+  status.peers.push_back({"10.0.0.2:7000", "connected", 2, 1, 2, 3, 4, 5});
+  net::TraceDump dump;
+  dump.node_id = "node-a";
+  dump.enabled = true;
+  dump.traces.push_back(
+      {trace.id, "client", 10, 20, true,
+       {{medcc::obs::Stage::request, 10, 30},
+        {medcc::obs::Stage::solve, 12, 28}}});
+  return {
+      {"solve_request",
+       body_of(net::encode_solve_request(example_request(), 1)),
+       [](std::string_view b) { (void)net::decode_solve_request(b); }},
+      {"traced_solve_request",
+       body_of(net::encode_traced_solve_request(example_request(), trace, 1)),
+       [](std::string_view b) {
+         (void)net::decode_solve_request(
+             net::split_traced_solve_request(b).inner);
+       }},
+      {"hello_request",
+       body_of(net::encode_hello_request({2, net::kFeatureTracing, "a"}, 1)),
+       [](std::string_view b) { (void)net::decode_hello_request(b); }},
+      {"hello_response",
+       body_of(net::encode_hello_response({2, net::kFeatureTracing, "b"}, 1)),
+       [](std::string_view b) { (void)net::decode_hello_response(b); }},
+      {"repl_insert", body_of(net::encode_repl_insert("record-bytes", 1)),
+       [](std::string_view b) { (void)net::decode_repl_insert(b); }},
+      {"repl_insert traced",
+       body_of(net::encode_repl_insert("record-bytes", 1, trace)),
+       [](std::string_view b) {
+         // Cutting exactly the suffix off leaves a valid untraced body,
+         // so a decode that lost the context counts as a failure here.
+         if (!net::decode_repl_insert(b).trace.valid())
+           throw CodecError(WireError::truncated, "trace suffix lost");
+       }},
+      {"repl_ack", body_of(net::encode_repl_ack({false, "no cache"}, 1)),
+       [](std::string_view b) { (void)net::decode_repl_ack(b); }},
+      {"cluster_status_response",
+       body_of(net::encode_cluster_status_response(status, 1)),
+       [](std::string_view b) {
+         (void)net::decode_cluster_status_response(b);
+       }},
+      {"trace_dump_request", body_of(net::encode_trace_dump_request(16, 1)),
+       [](std::string_view b) { (void)net::decode_trace_dump_request(b); }},
+      {"trace_dump_response", body_of(net::encode_trace_dump_response(dump, 1)),
+       [](std::string_view b) { (void)net::decode_trace_dump_response(b); }},
+  };
+}
+
 TEST(NetCodec, EveryTruncationOfAValidBodyThrowsCodecError) {
-  const std::string frame =
-      medcc::net::encode_solve_request(example_request(), 1);
-  const std::string_view body =
-      std::string_view(frame).substr(medcc::net::kHeaderSize);
-  for (std::size_t len = 0; len < body.size(); ++len) {
-    EXPECT_THROW((void)medcc::net::decode_solve_request(body.substr(0, len)),
-                 CodecError)
-        << "prefix length " << len;
+  for (const BodyCase& c : valid_bodies()) {
+    ASSERT_NO_THROW(c.decode(c.body)) << c.name;
+    const std::string_view body = c.body;
+    for (std::size_t len = 0; len < body.size(); ++len) {
+      EXPECT_THROW(c.decode(body.substr(0, len)), CodecError)
+          << c.name << " prefix length " << len;
+    }
   }
 }
 
@@ -380,7 +449,7 @@ TEST(NetCodec, TrailingBytesRejected) {
 TEST(NetCodec, HostileElementCountsDoNotAllocate) {
   // A body claiming 2^20-1 modules backed by only a handful of bytes
   // must die in expect_fits, not in an allocation.
-  WireWriter w;
+  ByteWriter w;
   w.f64(10.0);   // budget
   w.f64(0.0);    // deadline
   w.str("cg");   // solver
@@ -399,17 +468,17 @@ TEST(NetCodec, HostileElementCountsDoNotAllocate) {
 }
 
 /// A minimal valid solve-request body (fixed entry -> one computing
-/// module, one VM type) whose `poisoned`-th instance number, counted in
-/// wire order, is replaced by `poison`. Out-of-range indices poison
-/// nothing.
+/// module, one VM type) whose `poisoned`-th number (budget, deadline,
+/// then the instance's), counted in wire order, is replaced by `poison`.
+/// Out-of-range indices poison nothing.
 std::string request_body_with(std::size_t poisoned, double poison) {
   std::size_t slot = 0;
-  WireWriter w;
+  ByteWriter w;
   const auto number = [&](double value) {
     w.f64(slot++ == poisoned ? poison : value);
   };
-  w.f64(10.0);  // budget
-  w.f64(0.0);   // deadline
+  number(10.0);  // budget
+  number(0.0);   // deadline
   w.str("cg");
   w.str("");
   w.str("");
@@ -439,7 +508,7 @@ std::string request_body_with(std::size_t poisoned, double poison) {
 }
 
 TEST(NetCodec, NonFiniteInstanceNumbersRejectedAsBadBody) {
-  constexpr std::size_t kNumbers = 10;
+  constexpr std::size_t kNumbers = 12;
   ASSERT_NO_THROW((void)medcc::net::decode_solve_request(
       request_body_with(kNumbers, 0.0)));
   for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
@@ -476,6 +545,22 @@ TEST(NetCodec, RandomBytesNeverCrashDecoders) {
     catch (const CodecError&) {}
     try { (void)medcc::net::decode_error(bytes); }
     catch (const CodecError&) {}
+    try { (void)medcc::net::decode_hello_request(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_hello_response(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_repl_insert(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_repl_ack(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_cluster_status_response(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_trace_dump_request(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::decode_trace_dump_response(bytes); }
+    catch (const CodecError&) {}
+    try { (void)medcc::net::split_traced_solve_request(bytes); }
+    catch (const CodecError&) {}
   }
 }
 
@@ -511,13 +596,13 @@ TEST(NetCodec, WireReaderBoundsChecksEveryRead) {
   WireReader r(three_bytes);
   EXPECT_THROW((void)r.u32(), CodecError);
 
-  WireWriter w;
+  ByteWriter w;
   w.u32(100);  // string claims 100 bytes; only 2 follow
   std::string claim = w.take() + "ab";
   WireReader r2(claim);
   EXPECT_THROW((void)r2.str(1 << 20), CodecError);
 
-  WireWriter w3;
+  ByteWriter w3;
   w3.str("0123456789");
   WireReader r3(w3.bytes());
   EXPECT_THROW((void)r3.str(4), CodecError);  // over the caller's max_len
@@ -528,7 +613,7 @@ TEST(NetCodec, DoublesTravelBitExactly) {
                            std::numeric_limits<double>::infinity(),
                            -std::numeric_limits<double>::denorm_min(),
                            6.772151898734177};
-  WireWriter w;
+  ByteWriter w;
   for (const double v : values) w.f64(v);
   WireReader r(w.bytes());
   for (const double v : values) expect_bits_equal(r.f64(), v);

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "persist/record_file.hpp"
-#include "persist/wire.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
 
 namespace medcc::persist {
 namespace {
@@ -79,7 +79,7 @@ TEST(RecordFile, WrongMagicOrVersionThrows) {
 
 TEST(RecordFile, OversizedLengthIsTruncatedNotAllocated) {
   std::string bytes = encode_file_header(kJournalMagic);
-  Writer w;
+  util::ByteWriter w;
   w.u32(0x7fffffffu);  // length prefix far beyond the bound
   w.u32(0);
   bytes += w.take();

@@ -2,11 +2,13 @@
 // service on the same directory and the warmed cache must answer
 // byte-identically to the live solves that produced it, tolerate a
 // journal torn by SIGKILL, and skip (not misread) records from a newer
-// build.
+// build. The cache-record codec itself is fed truncated, random and
+// byte-flipped records, directly and through apply_replicated_record.
 #include "service/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -15,10 +17,13 @@
 
 #include "cloud/vm_type.hpp"
 #include "persist/record_file.hpp"
-#include "persist/wire.hpp"
 #include "sched/instance.hpp"
+#include "sched/solver_registry.hpp"
+#include "service/fingerprint.hpp"
 #include "service/persistence.hpp"
 #include "util/atomic_file.hpp"
+#include "util/bytes.hpp"
+#include "util/prng.hpp"
 #include "workflow/patterns.hpp"
 #include "workflow/workflow.hpp"
 
@@ -236,7 +241,7 @@ TEST_F(ServicePersistTest, FutureVersionedRecordSkippedAsLoadError) {
   auto snapshot = medcc::persist::read_record_file(
       dir_ / medcc::persist::kSnapshotFileName, medcc::persist::kSnapshotMagic);
   ASSERT_EQ(snapshot.payloads.size(), 1u);
-  medcc::persist::Writer future;
+  medcc::util::ByteWriter future;
   future.u16(99);
   snapshot.payloads.push_back(future.take());
   medcc::persist::write_record_file(dir_ / medcc::persist::kSnapshotFileName,
@@ -273,6 +278,78 @@ TEST_F(ServicePersistTest, PersistenceDisabledWithoutDir) {
   ASSERT_TRUE(
       service.submit(request_for(example_instance(), 57.0)).get().ok());
   EXPECT_EQ(service.metrics().snapshot().persist_journal_appends, 0u);
+}
+
+// -- adversarial cache records ----------------------------------------------
+//
+// Replicas accept these bytes from peers and warm start reads them from
+// disk: corrupt input must surface as PersistError (never UB -- the
+// ASan+UBSan leg runs this binary) and never reach the cache.
+
+/// The record the service caches (and replicates) for example6 at B=57.
+std::string solved_record() {
+  const SchedulingRequest req = request_for(example_instance(), 57.0);
+  const auto* cg = medcc::sched::SolverRegistry::built_in().find("cg");
+  return medcc::service::encode_cache_record(
+      medcc::service::ResultCache::make_entry(
+          medcc::service::fingerprint(req), (*cg)(*req.instance, req.budget)));
+}
+
+TEST(CacheRecordCodec, EveryStrictPrefixThrowsPersistError) {
+  const std::string record = solved_record();
+  ASSERT_NO_THROW((void)medcc::service::decode_cache_record(record));
+  for (std::size_t len = 0; len < record.size(); ++len)
+    EXPECT_THROW(
+        (void)medcc::service::decode_cache_record(record.substr(0, len)),
+        medcc::persist::PersistError)
+        << "prefix length " << len;
+}
+
+TEST(CacheRecordCodec, RandomAndFlippedBytesThrowOrDecode) {
+  const std::string record = solved_record();
+  medcc::util::Prng rng(0xCAC4Eu);
+  const auto byte = [&rng] {
+    return static_cast<char>(rng.uniform_int(0, 255));
+  };
+  for (int round = 0; round < 2000; ++round) {
+    // Random bodies, half of them behind a valid version so decoding
+    // gets past the first field.
+    std::string random(static_cast<std::size_t>(rng.uniform_int(0, 256)),
+                       '\0');
+    for (char& c : random) c = byte();
+    if (round % 2 == 0 && random.size() >= 2)
+      random.replace(0, 2, "\x01\x00", 2);
+    std::string flipped = record;
+    const int flips = static_cast<int>(rng.uniform_int(1, 8));
+    for (int f = 0; f < flips; ++f)
+      flipped[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(flipped.size()) - 1))] = byte();
+    // Any outcome but a PersistError (or a clean decode) is a bug.
+    for (const std::string* bytes : {&random, &flipped}) {
+      try {
+        (void)medcc::service::decode_cache_record(*bytes);
+      } catch (const medcc::persist::PersistError&) {
+      }
+    }
+  }
+}
+
+TEST(CacheRecordCodec, ReplicatedPrefixesNeverReachTheCache) {
+  ServiceConfig c;
+  c.threads = 1;
+  SchedulingService service(std::move(c));
+  const std::string record = solved_record();
+  for (std::size_t len = 0; len < record.size(); ++len) {
+    const auto errors = service.metrics().snapshot().repl_apply_errors;
+    EXPECT_FALSE(service.apply_replicated_record(record.substr(0, len)))
+        << "prefix length " << len;
+    EXPECT_EQ(service.metrics().snapshot().repl_apply_errors, errors + 1)
+        << "prefix length " << len;
+    EXPECT_EQ(service.cache_stats().size, 0u) << "prefix length " << len;
+  }
+  // The whole record applies, so the prefixes failed for being cut.
+  EXPECT_TRUE(service.apply_replicated_record(record));
+  EXPECT_EQ(service.cache_stats().size, 1u);
 }
 
 }  // namespace

@@ -231,7 +231,12 @@ TEST(Service, InvalidRequestsRejected) {
   negative_deadline.deadline_ms = -5.0;
   EXPECT_EQ(service.submit(std::move(negative_deadline)).get().reject_reason,
             RejectReason::invalid_request);
-  EXPECT_EQ(service.metrics().snapshot().rejected_invalid, 4u);
+
+  auto nan_deadline = request_for(example_instance(), 57.0);
+  nan_deadline.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(service.submit(std::move(nan_deadline)).get().reject_reason,
+            RejectReason::invalid_request);
+  EXPECT_EQ(service.metrics().snapshot().rejected_invalid, 5u);
 }
 
 TEST(Service, InfeasibleBudgetFailsWithSolverError) {

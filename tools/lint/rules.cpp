@@ -6,7 +6,7 @@
 //
 // Token-stream rules (new): mutable-field-near-mutex-without-guarded-by,
 // detached-thread, lock-guard-unused, raw-fopen, catch-by-value,
-// large-value-param, legacy-cpm-in-library.
+// large-value-param, legacy-cpm-in-library, hand-rolled-le.
 #include <algorithm>
 #include <cctype>
 #include <set>
@@ -866,6 +866,41 @@ class LegacyCpmInLibraryRule final : public Rule {
   }
 };
 
+// ---------------------------------------------------------------------------
+// hand-rolled-le
+
+class HandRolledLeRule final : public Rule {
+ public:
+  [[nodiscard]] std::string id() const override { return "hand-rolled-le"; }
+
+  [[nodiscard]] std::string rationale() const override {
+    return "util/bytes.hpp is the one little-endian codec under the wire "
+           "protocol and the persistence formats; byte-shift loops "
+           "elsewhere are how a second copy of it would creep back";
+  }
+
+  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+    if (path_contains(file.path, "util/bytes.")) return;
+    const std::vector<Token>& toks = file.tokens;
+    // `>> (8 *` or `<< (8 *`: the shift of a per-byte encode/decode loop.
+    for (std::size_t i = 0; i + 4 < toks.size(); ++i) {
+      const char shift = toks[i].text.empty() ? '\0' : toks[i].text[0];
+      if ((shift != '>' && shift != '<') || !is_punct(toks[i], shift) ||
+          !is_punct(toks[i + 1], shift) || !is_punct(toks[i + 2], '(') ||
+          toks[i + 3].kind != TokenKind::Number ||
+          (toks[i + 3].text != "8" && lowercase(toks[i + 3].text) != "8u") ||
+          !is_punct(toks[i + 4], '*'))
+        continue;
+      out.push_back(Finding{
+          file.path.string(), toks[i].line, id(),
+          "hand-rolled little-endian byte shift outside src/util/bytes",
+          "encode through util::ByteWriter, decode through a "
+          "util::ByteReader alias, or patch in place with "
+          "util::store_le64"});
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> make_all_rules() {
@@ -883,6 +918,7 @@ std::vector<std::unique_ptr<Rule>> make_all_rules() {
   rules.push_back(std::make_unique<CatchByValueRule>());
   rules.push_back(std::make_unique<LargeValueParamRule>());
   rules.push_back(std::make_unique<LegacyCpmInLibraryRule>());
+  rules.push_back(std::make_unique<HandRolledLeRule>());
   return rules;
 }
 
