@@ -272,7 +272,8 @@ BlastReport blast(const Options& opt, const SchedulingRequest& request,
   report.p50_ms = at(50.0);
   report.p95_ms = at(95.0);
   report.p99_ms = at(99.0);
-  report.fastpath_hits = server.counters().fastpath_hits;
+  report.fastpath_hits =
+      service.metrics().value(medcc::service::Counter::wire_fastpath_hits);
 
   server.stop();
   service.shutdown();

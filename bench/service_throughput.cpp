@@ -299,16 +299,18 @@ RunReport run_stream(const Options& opt, const std::vector<Problem>& problems,
                           ? static_cast<double>(opt.requests) /
                                 report.wall_seconds
                           : 0.0;
+  using medcc::service::Counter;
   const auto snap = service.metrics().snapshot();
-  if (!snap.total.empty()) {
-    report.p50_ms = snap.total.quantile(50.0) * 1e3;
-    report.p95_ms = snap.total.quantile(95.0) * 1e3;
-    report.p99_ms = snap.total.quantile(99.0) * 1e3;
+  const auto& total = snap[medcc::service::Latency::total];
+  if (!total.empty()) {
+    report.p50_ms = total.quantile(50.0) * 1e3;
+    report.p95_ms = total.quantile(95.0) * 1e3;
+    report.p99_ms = total.quantile(99.0) * 1e3;
   }
   report.hit_rate = snap.cache_hit_rate();
-  report.hits_exact = snap.cache_hits_exact;
-  report.hits_isomorphic = snap.cache_hits_isomorphic;
-  report.misses = snap.cache_misses;
+  report.hits_exact = snap[Counter::cache_hits_exact];
+  report.hits_isomorphic = snap[Counter::cache_hits_isomorphic];
+  report.misses = snap[Counter::cache_misses];
   return report;
 }
 

@@ -19,6 +19,8 @@ namespace medcc::net {
 
 namespace {
 
+using service::Counter;
+
 // epoll user-data tags; connection serials start above the reserved ones.
 constexpr std::uint64_t kWakeTag = 0;
 constexpr std::uint64_t kListenTag = 1;
@@ -71,6 +73,7 @@ void Server::CompletionQueue::hand_off(std::uint64_t serial, int fd) {
 
 Server::Server(service::SchedulingService& service, ServerConfig config)
     : service_(service),
+      metrics_(service.metrics()),
       config_(std::move(config)),
       wire_cache_(service.wire_cache()) {
   listen_fd_.reset(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
@@ -161,7 +164,7 @@ void Server::stop() {
     for (const auto& [serial, fd] : orphans) {
       (void)serial;
       ::close(fd);
-      connections_active_.sub();
+      metrics_.sub(Counter::connections_active);
     }
   }
 }
@@ -170,25 +173,6 @@ void Server::wake(Reactor& r) {
   const std::uint64_t one = 1;
   // A full eventfd counter still wakes the loop; ignore short writes.
   (void)!::write(r.completions->wake_fd.get(), &one, sizeof(one));
-}
-
-Server::Counters Server::counters() const {
-  Counters c;
-  c.connections_accepted = connections_accepted_.load();
-  c.connections_active = connections_active_.load();
-  c.frames_in = frames_in_.load();
-  c.frames_out = frames_out_.load();
-  c.protocol_errors = protocol_errors_.load();
-  c.idle_closed = idle_closed_.load();
-  c.dropped_responses = dropped_responses_.load();
-  c.backpressure_paused = backpressure_paused_.load();
-  c.fastpath_hits = fastpath_hits_.load();
-  c.flow_control_rejects = flow_control_rejects_.load();
-  c.hellos = hellos_.load();
-  c.repl_records_in = repl_records_in_.load();
-  c.traced_solves = traced_solves_.load();
-  c.trace_dumps = trace_dumps_.load();
-  return c;
 }
 
 void Server::io_loop(Reactor& r) {
@@ -254,7 +238,7 @@ void Server::io_loop(Reactor& r) {
             ms_since(conn.last_activity, now) > config_.idle_timeout_ms)
           idle.push_back(serial);
       for (const std::uint64_t serial : idle) {
-        idle_closed_.add();
+        metrics_.add(Counter::idle_closed);
         close_connection(r, serial);
       }
     }
@@ -289,7 +273,7 @@ void Server::io_loop(Reactor& r) {
     }
   }
 
-  connections_active_.sub(r.connections.size());
+  metrics_.sub(Counter::connections_active, r.connections.size());
   r.connections.clear();
 }
 
@@ -302,14 +286,15 @@ void Server::accept_ready(Reactor& r) {
       if (errno == EINTR) continue;
       return;  // transient accept failure; the listener stays armed
     }
-    if (connections_active_.load() >= config_.max_connections) {
+    if (metrics_.value(Counter::connections_active) >=
+        config_.max_connections) {
       ::close(fd);
       continue;
     }
     util::set_tcp_nodelay(fd);
     const std::uint64_t serial = next_serial_.fetch_add(1);
-    connections_accepted_.add();
-    connections_active_.add();
+    metrics_.add(Counter::connections_accepted);
+    metrics_.add(Counter::connections_active);
     const std::size_t target =
         reactors_.size() == 1
             ? 0
@@ -334,7 +319,8 @@ void Server::adopt_connection(Reactor& r, std::uint64_t serial, int fd) {
   ev.events = EPOLLIN;
   ev.data.u64 = serial;
   if (::epoll_ctl(r.epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
-    connections_active_.sub();  // conn.fd closes the socket on return
+    // conn.fd closes the socket on return.
+    metrics_.sub(Counter::connections_active);
     return;
   }
   r.connections.emplace(serial, std::move(conn));
@@ -372,7 +358,7 @@ void Server::process_inbuf(Reactor& r, Connection& conn) {
     } catch (const CodecError& e) {
       // Header-level corruption desynchronizes the stream: answer once,
       // stop reading, close after the error frame is flushed.
-      protocol_errors_.add();
+      metrics_.add(Counter::protocol_errors);
       conn.reading = false;
       conn.close_after_flush = true;
       queue_output(r, conn, encode_error(e.code(), e.what(), 0));
@@ -388,7 +374,7 @@ void Server::process_inbuf(Reactor& r, Connection& conn) {
 
 void Server::handle_frame(Reactor& r, Connection& conn,
                           const FrameHeader& header, std::string_view body) {
-  frames_in_.add();
+  metrics_.add(Counter::frames_in);
   switch (header.type) {
     case FrameType::solve_request: {
       handle_solve(r, conn, header.request_id, body, obs::TraceContext{},
@@ -401,12 +387,12 @@ void Server::handle_frame(Reactor& r, Connection& conn,
       try {
         split = split_traced_solve_request(body);
       } catch (const CodecError& e) {
-        protocol_errors_.add();
+        metrics_.add(Counter::protocol_errors);
         queue_output(r, conn,
                      encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      traced_solves_.add();
+      metrics_.add(Counter::traced_solves);
       // A tracerless server still answers: the prefix is pure metadata,
       // so it is stripped and forgotten rather than refused.
       handle_solve(
@@ -420,12 +406,12 @@ void Server::handle_frame(Reactor& r, Connection& conn,
       try {
         max_traces = decode_trace_dump_request(body);
       } catch (const CodecError& e) {
-        protocol_errors_.add();
+        metrics_.add(Counter::protocol_errors);
         queue_output(r, conn,
                      encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      trace_dumps_.add();
+      metrics_.add(Counter::trace_dumps);
       // A tracerless node answers with an all-zero dump (enabled =
       // false) so medcc_tracectl can sweep mixed clusters uniformly.
       TraceDump dump;
@@ -450,18 +436,18 @@ void Server::handle_frame(Reactor& r, Connection& conn,
         std::string dump;
         switch (format) {
           case StatsFormat::csv:
-            dump = service_.metrics().dump_csv();
+            dump = metrics_.dump_csv();
             break;
           case StatsFormat::prometheus:
-            dump = service_.metrics().dump_prometheus();
+            dump = metrics_.dump_prometheus();
             break;
           case StatsFormat::text:
-            dump = service_.metrics().dump_text();
+            dump = metrics_.dump_text();
             break;
         }
         queue_output(r, conn, encode_stats_response(dump, header.request_id));
       } catch (const CodecError& e) {
-        protocol_errors_.add();
+        metrics_.add(Counter::protocol_errors);
         queue_output(r, conn,
                      encode_error(e.code(), e.what(), header.request_id));
       }
@@ -476,12 +462,12 @@ void Server::handle_frame(Reactor& r, Connection& conn,
       try {
         offer = decode_hello_request(body);
       } catch (const CodecError& e) {
-        protocol_errors_.add();
+        metrics_.add(Counter::protocol_errors);
         queue_output(r, conn,
                      encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      hellos_.add();
+      metrics_.add(Counter::hellos);
       Hello granted;
       granted.version = std::min(offer.version, kMaxVersion);
       const std::uint32_t features =
@@ -497,12 +483,12 @@ void Server::handle_frame(Reactor& r, Connection& conn,
       try {
         record = decode_repl_insert(body);
       } catch (const CodecError& e) {
-        protocol_errors_.add();
+        metrics_.add(Counter::protocol_errors);
         queue_output(r, conn,
                      encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      repl_records_in_.add();
+      metrics_.add(Counter::repl_records_in);
       ReplAck ack;
       if (config_.repl_apply == nullptr) {
         ack.applied = false;
@@ -546,7 +532,7 @@ void Server::handle_frame(Reactor& r, Connection& conn,
     case FrameType::cluster_status_response:
     case FrameType::trace_dump_response: {
       // Server-to-client frames arriving at the server: protocol abuse.
-      protocol_errors_.add();
+      metrics_.add(Counter::protocol_errors);
       conn.reading = false;
       conn.close_after_flush = true;
       queue_output(r, conn,
@@ -576,8 +562,7 @@ void Server::handle_solve(Reactor& r, Connection& conn,
     // key on the inner bytes, so traced and untraced duplicates share
     // one memo entry and one set of response bytes.
     if (const auto frame = wire_cache_->find(inner)) {
-      fastpath_hits_.add();
-      service_.metrics().note_wire_fastpath(true);
+      metrics_.add(Counter::wire_fastpath_hits);
       if (tracer != nullptr && trace.valid()) {
         // Single-span, allocation-free accounting: the hit's duration
         // is already known, so no span buffer is opened (the <5%
@@ -588,7 +573,7 @@ void Server::handle_solve(Reactor& r, Connection& conn,
       queue_cached_frame(r, conn, *frame, request_id);
       return;
     }
-    service_.metrics().note_wire_fastpath(false);
+    metrics_.add(Counter::wire_fastpath_misses);
   }
   if (config_.max_inflight_frames > 0 &&
       conn.pending >= config_.max_inflight_frames) {
@@ -596,11 +581,10 @@ void Server::handle_solve(Reactor& r, Connection& conn,
     // structured reject rather than queueing unbounded worker-side
     // state for one over-eager pipeliner. The client sees which
     // request was shed (echoed id) and can back off and resend.
-    flow_control_rejects_.add();
     service::SchedulingResponse response;
     response.status = service::ResponseStatus::rejected;
     response.reject_reason = service::RejectReason::flow_control;
-    service_.metrics().count_response(response);
+    metrics_.count_response(response);
     queue_output(r, conn, encode_solve_response(response, request_id));
     return;
   }
@@ -609,7 +593,7 @@ void Server::handle_solve(Reactor& r, Connection& conn,
     request = decode_solve_request(inner);
   } catch (const CodecError& e) {
     // Bad body, sound framing: report and keep the stream alive.
-    protocol_errors_.add();
+    metrics_.add(Counter::protocol_errors);
     queue_output(r, conn, encode_error(e.code(), e.what(), request_id));
     return;
   }
@@ -687,7 +671,7 @@ std::string& Server::output_chunk(Reactor& r, Connection& conn,
 }
 
 void Server::queue_output(Reactor& r, Connection& conn, std::string bytes) {
-  frames_out_.add();
+  metrics_.add(Counter::frames_out);
   conn.out_bytes += bytes.size();
   if (bytes.size() >= r.pool.buffer_capacity()) {
     // An oversized frame becomes its own chunk: moving the string in is
@@ -701,7 +685,7 @@ void Server::queue_output(Reactor& r, Connection& conn, std::string bytes) {
 
 void Server::queue_cached_frame(Reactor& r, Connection& conn,
                                 const std::string& frame, std::uint64_t id) {
-  frames_out_.add();
+  metrics_.add(Counter::frames_out);
   // The frame lands contiguously in one chunk so its request id can be
   // patched in place.
   std::string& chunk = output_chunk(r, conn, frame.size());
@@ -721,7 +705,7 @@ void Server::after_output(Reactor& r, Connection& conn) {
   if (config_.max_conn_outbuf > 0 && !conn.read_paused &&
       conn.out_bytes > config_.max_conn_outbuf) {
     conn.read_paused = true;
-    backpressure_paused_.add();
+    metrics_.add(Counter::backpressure_paused);
     rearm = true;
   }
   if (rearm) update_epoll(r, conn);
@@ -800,7 +784,7 @@ void Server::close_connection(Reactor& r, std::uint64_t serial) {
                     nullptr);
   for (std::string& chunk : it->second.outq) r.pool.release(std::move(chunk));
   r.connections.erase(it);
-  connections_active_.sub();
+  metrics_.sub(Counter::connections_active);
 }
 
 void Server::drain_outbox(Reactor& r) {
@@ -818,7 +802,7 @@ void Server::drain_outbox(Reactor& r) {
   for (auto& [serial, bytes] : ready) {
     const auto it = r.connections.find(serial);
     if (it == r.connections.end()) {
-      dropped_responses_.add();
+      metrics_.add(Counter::dropped_responses);
       continue;
     }
     if (it->second.pending > 0) --it->second.pending;

@@ -28,10 +28,14 @@
 // allocation. Misses take the normal path, and the completion
 // callback memoizes the encoded template for the next verbatim
 // duplicate. Fast-path responses carry queue_delay_ms = solve_ms = 0
-// and CacheOutcome::hit_exact, and are counted in
-// Counters::fastpath_hits plus the service's wire_fastpath metrics
-// (they never enter admission control -- by design: the whole point
-// is to spend nothing on them).
+// and CacheOutcome::hit_exact, and are counted only in the service's
+// wire_fastpath_hits metric (they never enter admission control -- by
+// design: the whole point is to spend nothing on them).
+//
+// Transport counters (frames, connections, protocol errors, ...) are
+// rows of the service's MetricsRegistry table, so the stats frame
+// serves them alongside the service's own (servers sharing one service
+// share these rows, max_connections included).
 //
 // Output is chunked: each connection's outbuf is a deque of pooled
 // buffers flushed with one gathered sendmsg (writev-style iovec) per
@@ -72,7 +76,6 @@
 #include "service/wire_cache.hpp"
 #include "util/buffer_pool.hpp"
 #include "util/mutex.hpp"
-#include "util/padded.hpp"
 #include "util/socket.hpp"
 
 namespace medcc::net {
@@ -149,26 +152,6 @@ public:
   /// Graceful shutdown: stop accepting, drain in-flight solves, flush
   /// outgoing frames, close. Idempotent; safe from any non-IO thread.
   void stop();
-
-  /// Transport counters (monotonic except connections_active),
-  /// aggregated across reactors.
-  struct Counters {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t connections_active = 0;
-    std::uint64_t frames_in = 0;
-    std::uint64_t frames_out = 0;
-    std::uint64_t protocol_errors = 0;
-    std::uint64_t idle_closed = 0;
-    std::uint64_t dropped_responses = 0;    ///< finished after peer left
-    std::uint64_t backpressure_paused = 0;  ///< reads paused at high water
-    std::uint64_t fastpath_hits = 0;  ///< responses served from WireCache
-    std::uint64_t flow_control_rejects = 0;  ///< max_inflight_frames sheds
-    std::uint64_t hellos = 0;            ///< hello handshakes answered
-    std::uint64_t repl_records_in = 0;   ///< repl_insert frames received
-    std::uint64_t traced_solves = 0;     ///< traced_solve_request frames
-    std::uint64_t trace_dumps = 0;       ///< trace_dump requests answered
-  };
-  [[nodiscard]] Counters counters() const;
 
 private:
   struct Connection {
@@ -275,6 +258,8 @@ private:
   void wake(Reactor& r);
 
   service::SchedulingService& service_;
+  /// The service's registry; transport counters are rows of its table.
+  service::MetricsRegistry& metrics_;
   ServerConfig config_;
   /// Borrowed from the service (which outlives the server); nullptr
   /// when the fast path is disabled.
@@ -289,21 +274,6 @@ private:
   std::atomic<std::uint64_t> next_serial_{0};
   /// Round-robin cursor for sharding accepted connections.
   std::atomic<std::size_t> round_robin_{0};
-
-  util::PaddedAtomic<std::uint64_t> connections_accepted_;
-  util::PaddedAtomic<std::uint64_t> connections_active_;
-  util::PaddedAtomic<std::uint64_t> frames_in_;
-  util::PaddedAtomic<std::uint64_t> frames_out_;
-  util::PaddedAtomic<std::uint64_t> protocol_errors_;
-  util::PaddedAtomic<std::uint64_t> idle_closed_;
-  util::PaddedAtomic<std::uint64_t> dropped_responses_;
-  util::PaddedAtomic<std::uint64_t> backpressure_paused_;
-  util::PaddedAtomic<std::uint64_t> fastpath_hits_;
-  util::PaddedAtomic<std::uint64_t> flow_control_rejects_;
-  util::PaddedAtomic<std::uint64_t> hellos_;
-  util::PaddedAtomic<std::uint64_t> repl_records_in_;
-  util::PaddedAtomic<std::uint64_t> traced_solves_;
-  util::PaddedAtomic<std::uint64_t> trace_dumps_;
 
   /// Sized in the constructor before any thread starts, structurally
   /// immutable afterwards. Last member: stop() joins the reactor

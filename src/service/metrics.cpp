@@ -1,8 +1,10 @@
 #include "service/metrics.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 namespace medcc::service {
 
@@ -16,11 +18,39 @@ constexpr std::size_t kBuckets = 40;   // up to ~1.1e6 seconds
 /// threads apart with high probability without inflating the fold cost.
 constexpr std::size_t kLatencyShards = 8;
 
-/// Raises a relaxed atomic maximum.
-void raise_peak(util::PaddedAtomic<std::int64_t>& peak, std::int64_t value) {
-  std::int64_t seen = peak.load();
-  while (seen < value && !peak.compare_exchange_weak(seen, value)) {
+Counter cache_counter(CacheOutcome outcome) {
+  switch (outcome) {
+    case CacheOutcome::hit_exact:
+      return Counter::cache_hits_exact;
+    case CacheOutcome::hit_isomorphic:
+      return Counter::cache_hits_isomorphic;
+    case CacheOutcome::miss:
+      return Counter::cache_misses;
+    case CacheOutcome::bypass:
+      break;
   }
+  return Counter::cache_bypass;
+}
+
+Counter reject_counter(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::queue_full:
+      return Counter::rejected_queue_full;
+    case RejectReason::shutting_down:
+      return Counter::rejected_shutting_down;
+    case RejectReason::deadline_expired:
+      return Counter::rejected_deadline;
+    case RejectReason::unknown_solver:
+      return Counter::rejected_unknown_solver;
+    case RejectReason::tenant_quota:
+      return Counter::tenant_quota_rejections;
+    case RejectReason::flow_control:
+      return Counter::rejected_flow_control;
+    case RejectReason::invalid_request:
+    case RejectReason::none:
+      break;
+  }
+  return Counter::rejected_invalid;
 }
 
 /// Stable per-thread shard seed, hashed once per thread.
@@ -45,7 +75,6 @@ void LatencyRecorder::record(double seconds) {
   std::size_t b = 0;
   while (b + 1 < shard.buckets.size() && seconds >= edges_[b + 1]) ++b;
   shard.buckets[b].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
 }
 
 util::Histogram LatencyRecorder::snapshot() const {
@@ -59,22 +88,16 @@ util::Histogram LatencyRecorder::snapshot() const {
   return hist;
 }
 
-std::uint64_t LatencyRecorder::count() const {
-  std::uint64_t n = 0;
-  for (const Shard& shard : shards_)
-    n += shard.count.load(std::memory_order_relaxed);
-  return n;
-}
-
 double MetricsRegistry::Snapshot::cache_hit_rate() const {
-  const std::uint64_t hits = cache_hits_exact + cache_hits_isomorphic;
-  const std::uint64_t seen = hits + cache_misses;
+  const std::uint64_t hits =
+      (*this)[Counter::cache_hits_exact] +
+      (*this)[Counter::cache_hits_isomorphic];
+  const std::uint64_t seen = hits + (*this)[Counter::cache_misses];
   if (seen == 0) return 0.0;
   return static_cast<double>(hits) / static_cast<double>(seen);
 }
 
-void MetricsRegistry::count_request(std::string_view solver) {
-  requests_total_.add();
+void MetricsRegistry::count_solver(std::string_view solver) {
   {
     const util::ReaderMutexLock lock(per_solver_mutex_);
     const auto it = per_solver_.find(solver);
@@ -93,54 +116,16 @@ void MetricsRegistry::count_request(std::string_view solver) {
 void MetricsRegistry::count_response(const SchedulingResponse& response) {
   switch (response.status) {
     case ResponseStatus::ok:
-      responses_ok_.add();
+      add(Counter::responses_ok);
+      add(cache_counter(response.cache));
       break;
     case ResponseStatus::failed:
-      responses_failed_.add();
+      add(Counter::responses_failed);
+      add(cache_counter(response.cache));
       break;
     case ResponseStatus::rejected:
-      switch (response.reject_reason) {
-        case RejectReason::queue_full:
-          rejected_queue_full_.add();
-          break;
-        case RejectReason::shutting_down:
-          rejected_shutting_down_.add();
-          break;
-        case RejectReason::deadline_expired:
-          rejected_deadline_.add();
-          break;
-        case RejectReason::unknown_solver:
-          rejected_unknown_solver_.add();
-          break;
-        case RejectReason::tenant_quota:
-          tenant_quota_rejections_.add();
-          break;
-        case RejectReason::flow_control:
-          rejected_flow_control_.add();
-          break;
-        case RejectReason::invalid_request:
-        case RejectReason::none:
-          rejected_invalid_.add();
-          break;
-      }
+      add(reject_counter(response.reject_reason));
       break;
-  }
-  if (response.status == ResponseStatus::ok ||
-      response.status == ResponseStatus::failed) {
-    switch (response.cache) {
-      case CacheOutcome::hit_exact:
-        cache_hits_exact_.add();
-        break;
-      case CacheOutcome::hit_isomorphic:
-        cache_hits_isomorphic_.add();
-        break;
-      case CacheOutcome::miss:
-        cache_misses_.add();
-        break;
-      case CacheOutcome::bypass:
-        cache_bypass_.add();
-        break;
-    }
   }
 }
 
@@ -160,42 +145,29 @@ void MetricsRegistry::record_solver_latency(std::string_view solver,
   slot->record(seconds);
 }
 
-void MetricsRegistry::queue_entered() {
-  const std::int64_t depth = queue_depth_.fetch_add(1) + 1;
-  raise_peak(queue_depth_peak_, depth);
+std::uint64_t MetricsRegistry::value(Counter c) const {
+  const auto i = static_cast<std::size_t>(c);
+  const std::uint64_t v = counters_[i].load();
+  if (kCounterRows[i].kind != MetricKind::gauge) return v;
+  return static_cast<std::uint64_t>(
+      std::max<std::int64_t>(0, static_cast<std::int64_t>(v)));
 }
 
-void MetricsRegistry::queue_left() { queue_depth_.sub(); }
+void MetricsRegistry::queue_entered() {
+  const std::uint64_t depth = slot(Counter::queue_depth).fetch_add(1) + 1;
+  auto& peak = slot(Counter::queue_depth_peak);
+  std::uint64_t seen = peak.load();
+  while (seen < depth && !peak.compare_exchange_weak(seen, depth)) {
+  }
+}
 
 MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
-  Snapshot s(queue_delay_.snapshot(), solve_.snapshot(), total_.snapshot(),
-             persist_load_.snapshot(), persist_flush_.snapshot());
-  s.requests_total = requests_total_.load();
-  s.responses_ok = responses_ok_.load();
-  s.responses_failed = responses_failed_.load();
-  s.cache_hits_exact = cache_hits_exact_.load();
-  s.cache_hits_isomorphic = cache_hits_isomorphic_.load();
-  s.cache_misses = cache_misses_.load();
-  s.cache_bypass = cache_bypass_.load();
-  s.wire_fastpath_hits = wire_fastpath_hits_.load();
-  s.wire_fastpath_misses = wire_fastpath_misses_.load();
-  s.rejected_queue_full = rejected_queue_full_.load();
-  s.rejected_shutting_down = rejected_shutting_down_.load();
-  s.rejected_deadline = rejected_deadline_.load();
-  s.rejected_unknown_solver = rejected_unknown_solver_.load();
-  s.rejected_invalid = rejected_invalid_.load();
-  s.tenant_quota_rejections = tenant_quota_rejections_.load();
-  s.rejected_flow_control = rejected_flow_control_.load();
-  s.queue_depth = queue_depth_.load();
-  s.queue_depth_peak = queue_depth_peak_.load();
-  s.persist_loaded_entries = persist_loaded_entries_.load();
-  s.persist_load_errors = persist_load_errors_.load();
-  s.persist_journal_appends = persist_journal_appends_.load();
-  s.persist_replay_truncations = persist_replay_truncations_.load();
-  s.persist_flushes = persist_flushes_.load();
-  s.cache_expired = cache_expired_.load();
-  s.repl_applied = repl_applied_.load();
-  s.repl_apply_errors = repl_apply_errors_.load();
+  Snapshot s;
+  for (std::size_t i = 0; i < kCounters; ++i)
+    s.values[i] = value(static_cast<Counter>(i));
+  s.latency.reserve(kLatencies);
+  for (const LatencyRecorder& recorder : latency_)
+    s.latency.push_back(recorder.snapshot());
   {
     const util::ReaderMutexLock lock(per_solver_mutex_);
     for (const auto& [name, counter] : per_solver_)
@@ -208,105 +180,56 @@ MetricsRegistry::Snapshot MetricsRegistry::snapshot() const {
 
 namespace {
 
-void emit(std::ostringstream& out, bool csv, std::string_view name,
-          double value) {
-  if (csv) {
-    out << name << ',' << value << '\n';
-  } else {
-    out << name << ' ' << value << '\n';
-  }
-}
-
-void emit(std::ostringstream& out, bool csv, std::string_view name,
-          std::uint64_t value) {
-  if (csv) {
-    out << name << ',' << value << '\n';
-  } else {
-    out << name << ' ' << value << '\n';
-  }
-}
-
-void emit_histogram(std::ostringstream& out, bool csv, std::string_view name,
+void emit_histogram(std::ostringstream& out, char sep, std::string_view name,
                     const util::Histogram& hist) {
-  std::ostringstream prefix;
-  prefix << name;
-  const std::string base = prefix.str();
-  emit(out, csv, base + "_count", hist.count());
+  out << name << "_count" << sep << hist.count() << '\n';
   // Suffix spelled explicitly: "p999" means the 99.9th percentile and
   // must not collapse to "p99" through an integer cast of 99.9.
   const std::pair<const char*, double> quantiles[] = {
       {"_p50", 50.0}, {"_p95", 95.0}, {"_p99", 99.0}, {"_p999", 99.9}};
   for (const auto& [suffix, p] : quantiles)
-    emit(out, csv, base + suffix, hist.empty() ? 0.0 : hist.quantile(p));
+    out << name << suffix << sep << (hist.empty() ? 0.0 : hist.quantile(p))
+        << '\n';
 }
 
 std::string render(const MetricsRegistry::Snapshot& s, bool csv) {
   std::ostringstream out;
   if (csv) out << "metric,value\n";
-  emit(out, csv, "requests_total", s.requests_total);
-  emit(out, csv, "responses_ok", s.responses_ok);
-  emit(out, csv, "responses_failed", s.responses_failed);
-  emit(out, csv, "cache_hits_exact", s.cache_hits_exact);
-  emit(out, csv, "cache_hits_isomorphic", s.cache_hits_isomorphic);
-  emit(out, csv, "cache_misses", s.cache_misses);
-  emit(out, csv, "cache_bypass", s.cache_bypass);
-  emit(out, csv, "cache_hit_rate", s.cache_hit_rate());
-  emit(out, csv, "wire_fastpath_hits", s.wire_fastpath_hits);
-  emit(out, csv, "wire_fastpath_misses", s.wire_fastpath_misses);
-  emit(out, csv, "rejected_queue_full", s.rejected_queue_full);
-  emit(out, csv, "rejected_shutting_down", s.rejected_shutting_down);
-  emit(out, csv, "rejected_deadline", s.rejected_deadline);
-  emit(out, csv, "rejected_unknown_solver", s.rejected_unknown_solver);
-  emit(out, csv, "rejected_invalid", s.rejected_invalid);
-  emit(out, csv, "tenant_quota_rejections", s.tenant_quota_rejections);
-  emit(out, csv, "rejected_flow_control", s.rejected_flow_control);
-  emit(out, csv, "queue_depth",
-       static_cast<std::uint64_t>(std::max<std::int64_t>(0, s.queue_depth)));
-  emit(out, csv, "queue_depth_peak",
-       static_cast<std::uint64_t>(
-           std::max<std::int64_t>(0, s.queue_depth_peak)));
-  emit(out, csv, "persist_loaded_entries", s.persist_loaded_entries);
-  emit(out, csv, "persist_load_errors", s.persist_load_errors);
-  emit(out, csv, "persist_journal_appends", s.persist_journal_appends);
-  emit(out, csv, "persist_replay_truncations", s.persist_replay_truncations);
-  emit(out, csv, "persist_flushes", s.persist_flushes);
-  emit(out, csv, "cache_expired", s.cache_expired);
-  emit(out, csv, "repl_applied", s.repl_applied);
-  emit(out, csv, "repl_apply_errors", s.repl_apply_errors);
+  const char sep = csv ? ',' : ' ';
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    out << kCounterRows[i].name << sep << s.values[i] << '\n';
+    if (static_cast<Counter>(i) == Counter::cache_bypass)
+      out << "cache_hit_rate" << sep << s.cache_hit_rate() << '\n';
+  }
   for (const auto& [name, count] : s.per_solver)
-    emit(out, csv, "requests_solver_" + name, count);
-  emit_histogram(out, csv, "latency_queue_seconds", s.queue_delay);
-  emit_histogram(out, csv, "latency_solve_seconds", s.solve);
-  emit_histogram(out, csv, "latency_total_seconds", s.total);
-  for (const auto& [name, hist] : s.per_solver_latency)
-    emit_histogram(out, csv, "latency_solver_" + name + "_seconds", hist);
-  emit_histogram(out, csv, "persist_load_seconds", s.persist_load);
-  emit_histogram(out, csv, "persist_flush_seconds", s.persist_flush);
+    out << "requests_solver_" << name << sep << count << '\n';
+  for (std::size_t i = 0; i < kLatencies; ++i) {
+    emit_histogram(out, sep, kLatencyRows[i].name, s.latency[i]);
+    if (static_cast<Latency>(i) == Latency::total)
+      for (const auto& [name, hist] : s.per_solver_latency)
+        emit_histogram(out, sep, "latency_solver_" + name + "_seconds", hist);
+  }
   return out.str();
 }
 
 // -- Prometheus text exposition -------------------------------------------
 
-/// Formats a double the way Prometheus expects ("+Inf" aside, plain
-/// shortest-round-trip is fine; exposition parsers accept any Go-style
-/// float).
+std::string_view type_name(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::counter:
+      return "counter";
+    case MetricKind::gauge:
+      return "gauge";
+    case MetricKind::histogram:
+      break;
+  }
+  return "histogram";
+}
+
 void prom_metric(std::ostringstream& out, std::string_view name,
-                 std::string_view help, std::string_view type) {
+                 std::string_view help, MetricKind kind) {
   out << "# HELP " << name << ' ' << help << '\n'
-      << "# TYPE " << name << ' ' << type << '\n';
-}
-
-void prom_counter(std::ostringstream& out, std::string_view name,
-                  std::string_view help, std::uint64_t value,
-                  std::string_view labels = {}) {
-  prom_metric(out, name, help, "counter");
-  out << name << labels << ' ' << value << '\n';
-}
-
-void prom_gauge(std::ostringstream& out, std::string_view name,
-                std::string_view help, double value) {
-  prom_metric(out, name, help, "gauge");
-  out << name << ' ' << value << '\n';
+      << "# TYPE " << name << ' ' << type_name(kind) << '\n';
 }
 
 /// One histogram as cumulative le-buckets. `labels` is the inner label
@@ -316,9 +239,8 @@ void prom_gauge(std::ostringstream& out, std::string_view name,
 /// Interior zero-delta buckets are skipped -- the cumulative form
 /// loses nothing by omission and the page stays small.
 void prom_histogram(std::ostringstream& out, std::string_view name,
-                    std::string_view help, const util::Histogram& hist,
-                    std::string_view labels = {}, bool header = true) {
-  if (header) prom_metric(out, name, help, "histogram");
+                    const util::Histogram& hist,
+                    std::string_view labels = {}) {
   const std::string bucket_open =
       labels.empty() ? std::string("{")
                      : "{" + std::string(labels) + ",";
@@ -341,89 +263,42 @@ void prom_histogram(std::ostringstream& out, std::string_view name,
       << name << "_count" << plain << ' ' << hist.count() << '\n';
 }
 
+/// Emits a counter row's whole family at the family's first row, so a
+/// family's series stay together whatever their text order.
+void prom_family(std::ostringstream& out, const MetricsRegistry::Snapshot& s,
+                 std::size_t first) {
+  const MetricRow& head = kCounterRows[first];
+  for (std::size_t i = 0; i < first; ++i)
+    if (kCounterRows[i].family == head.family) return;  // already emitted
+  prom_metric(out, head.family, head.help, head.kind);
+  for (std::size_t i = first; i < kCounters; ++i) {
+    const MetricRow& r = kCounterRows[i];
+    if (r.family != head.family) continue;
+    out << r.family;
+    if (!r.label.empty()) out << '{' << r.label << '}';
+    out << ' ' << s.values[i] << '\n';
+  }
+}
+
 std::string render_prometheus(const MetricsRegistry::Snapshot& s) {
   std::ostringstream out;
-  prom_counter(out, "medcc_requests_total", "Requests admitted or rejected",
-               s.requests_total);
-  prom_metric(out, "medcc_responses_total", "Responses by outcome", "counter");
-  out << "medcc_responses_total{status=\"ok\"} " << s.responses_ok << '\n'
-      << "medcc_responses_total{status=\"failed\"} " << s.responses_failed
-      << '\n';
-  prom_metric(out, "medcc_cache_events_total", "Result-cache outcomes",
-              "counter");
-  out << "medcc_cache_events_total{outcome=\"hit_exact\"} "
-      << s.cache_hits_exact << '\n'
-      << "medcc_cache_events_total{outcome=\"hit_isomorphic\"} "
-      << s.cache_hits_isomorphic << '\n'
-      << "medcc_cache_events_total{outcome=\"miss\"} " << s.cache_misses
-      << '\n'
-      << "medcc_cache_events_total{outcome=\"bypass\"} " << s.cache_bypass
-      << '\n'
-      << "medcc_cache_events_total{outcome=\"expired\"} " << s.cache_expired
-      << '\n';
-  prom_metric(out, "medcc_wire_fastpath_total",
-              "Wire-cache zero-copy fast path outcomes", "counter");
-  out << "medcc_wire_fastpath_total{outcome=\"hit\"} " << s.wire_fastpath_hits
-      << '\n'
-      << "medcc_wire_fastpath_total{outcome=\"miss\"} "
-      << s.wire_fastpath_misses << '\n';
-  prom_metric(out, "medcc_rejected_total", "Rejections by reason", "counter");
-  out << "medcc_rejected_total{reason=\"queue_full\"} "
-      << s.rejected_queue_full << '\n'
-      << "medcc_rejected_total{reason=\"shutting_down\"} "
-      << s.rejected_shutting_down << '\n'
-      << "medcc_rejected_total{reason=\"deadline_expired\"} "
-      << s.rejected_deadline << '\n'
-      << "medcc_rejected_total{reason=\"unknown_solver\"} "
-      << s.rejected_unknown_solver << '\n'
-      << "medcc_rejected_total{reason=\"invalid_request\"} "
-      << s.rejected_invalid << '\n'
-      << "medcc_rejected_total{reason=\"tenant_quota\"} "
-      << s.tenant_quota_rejections << '\n'
-      << "medcc_rejected_total{reason=\"flow_control\"} "
-      << s.rejected_flow_control << '\n';
-  prom_gauge(out, "medcc_queue_depth", "Requests currently queued",
-             static_cast<double>(std::max<std::int64_t>(0, s.queue_depth)));
-  prom_gauge(out, "medcc_queue_depth_peak", "High-water queue depth",
-             static_cast<double>(
-                 std::max<std::int64_t>(0, s.queue_depth_peak)));
-  prom_counter(out, "medcc_persist_loaded_entries_total",
-               "Cache entries warm-started from the durable store",
-               s.persist_loaded_entries);
-  prom_counter(out, "medcc_persist_load_errors_total",
-               "Warm-start load failures", s.persist_load_errors);
-  prom_counter(out, "medcc_persist_journal_appends_total",
-               "Journal appends", s.persist_journal_appends);
-  prom_counter(out, "medcc_persist_replay_truncations_total",
-               "Torn journal tails cut at replay",
-               s.persist_replay_truncations);
-  prom_counter(out, "medcc_persist_flushes_total", "Snapshot flushes",
-               s.persist_flushes);
-  prom_counter(out, "medcc_repl_applied_total",
-               "Replicated records applied from peers", s.repl_applied);
-  prom_counter(out, "medcc_repl_apply_errors_total",
-               "Replicated records that failed to apply",
-               s.repl_apply_errors);
+  for (std::size_t i = 0; i < kCounters; ++i) prom_family(out, s, i);
   prom_metric(out, "medcc_requests_by_solver_total", "Requests per solver",
-              "counter");
+              MetricKind::counter);
   for (const auto& [name, count] : s.per_solver)
     out << "medcc_requests_by_solver_total{solver=\"" << name << "\"} "
         << count << '\n';
-  prom_histogram(out, "medcc_latency_queue_seconds",
-                 "Admission-queue wait", s.queue_delay);
-  prom_histogram(out, "medcc_latency_solve_seconds",
-                 "Solver / cache-path execution", s.solve);
-  prom_histogram(out, "medcc_latency_total_seconds",
-                 "Admission-to-response latency", s.total);
-  prom_metric(out, "medcc_latency_by_solver_seconds",
-              "Per-solver solve latency", "histogram");
-  for (const auto& [name, hist] : s.per_solver_latency)
-    prom_histogram(out, "medcc_latency_by_solver_seconds", "", hist,
-                   "solver=\"" + name + "\"", /*header=*/false);
-  prom_histogram(out, "medcc_persist_load_seconds", "Warm-start load time",
-                 s.persist_load);
-  prom_histogram(out, "medcc_persist_flush_seconds", "Snapshot flush time",
-                 s.persist_flush);
+  for (std::size_t i = 0; i < kLatencies; ++i) {
+    const MetricRow& r = kLatencyRows[i];
+    prom_metric(out, r.family, r.help, r.kind);
+    prom_histogram(out, r.family, s.latency[i]);
+    if (static_cast<Latency>(i) != Latency::total) continue;
+    prom_metric(out, "medcc_latency_by_solver_seconds",
+                "Per-solver solve latency", MetricKind::histogram);
+    for (const auto& [name, hist] : s.per_solver_latency)
+      prom_histogram(out, "medcc_latency_by_solver_seconds", hist,
+                     "solver=\"" + name + "\"");
+  }
   return out.str();
 }
 

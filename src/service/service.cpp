@@ -49,7 +49,7 @@ SchedulingService::SchedulingService(ServiceConfig config)
     cache_config.ttl_s = config_.cache_ttl_s;
     cache_config.clock = config_.cache_clock;
     cache_config.on_expired = [this](std::size_t n) {
-      metrics_.add_cache_expired(n);
+      metrics_.add(Counter::cache_expired, n);
     };
     cache_ = std::make_unique<ResultCache>(cache_config);
     if (config_.wire_cache_capacity > 0) {
@@ -69,7 +69,8 @@ SchedulingService::SchedulingService(ServiceConfig config)
     store_config.journal_rotate_bytes = config_.journal_rotate_bytes;
     store_config.fsync_appends = config_.persist_fsync;
     store_config.on_flush = [this](double seconds) {
-      metrics_.persist_flush(seconds);
+      metrics_.add(Counter::persist_flushes);
+      metrics_.record(Latency::persist_flush, seconds);
     };
     // Runs under the store lock: any concurrent insertion either made it
     // into this export (its cache update happened before) or its append
@@ -96,12 +97,13 @@ SchedulingService::SchedulingService(ServiceConfig config)
         // A record framed correctly (CRC passed) but undecodable --
         // foreign version or a writer bug. Skip it; warm start degrades
         // to a partial cache instead of failing.
-        metrics_.persist_load_error();
+        metrics_.add(Counter::persist_load_errors);
       }
     }
-    metrics_.add_persist_loaded(restored);
-    metrics_.add_persist_truncations(loaded.truncations);
-    metrics_.record_persist_load(to_seconds(clock_() - load_started));
+    metrics_.add(Counter::persist_loaded_entries, restored);
+    metrics_.add(Counter::persist_replay_truncations, loaded.truncations);
+    metrics_.record(Latency::persist_load,
+                    to_seconds(clock_() - load_started));
     store_->start();
   }
 }
@@ -133,7 +135,11 @@ void SchedulingService::submit_async(
   auto ticket = std::make_shared<Ticket>();
   ticket->request = std::move(request);
   ticket->done = std::move(done);
-  metrics_.count_request(ticket->request.solver);
+  metrics_.add(Counter::requests_total);
+  // Only registered names reach the per-solver table: a name from the
+  // wire is untrusted and would otherwise mint a series per request.
+  const bool known_solver = registry_.contains(ticket->request.solver);
+  if (known_solver) metrics_.count_solver(ticket->request.solver);
 
   const auto reject = [&](RejectReason reason) {
     SchedulingResponse response;
@@ -155,7 +161,7 @@ void SchedulingService::submit_async(
     reject(RejectReason::invalid_request);
     return;
   }
-  if (!registry_.contains(ticket->request.solver)) {
+  if (!known_solver) {
     reject(RejectReason::unknown_solver);
     return;
   }
@@ -248,9 +254,11 @@ void SchedulingService::run(Ticket& ticket) {
 
   const auto finished = clock_();
   response.solve_ms = to_ms(finished - started);
-  metrics_.record_queue_delay(to_seconds(started - ticket.admitted));
-  metrics_.record_solve(to_seconds(finished - started));
-  metrics_.record_total(to_seconds(finished - ticket.admitted));
+  metrics_.record(Latency::queue_delay,
+                  to_seconds(started - ticket.admitted));
+  metrics_.record(Latency::solve, to_seconds(finished - started));
+  metrics_.record(Latency::total,
+                  to_seconds(finished - ticket.admitted));
   metrics_.record_solver_latency(response.solver,
                                  to_seconds(finished - started));
   metrics_.count_response(response);
@@ -345,7 +353,7 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
       if (tracer != nullptr)
         tracer->record(request.trace_buffer, obs::Stage::persist_append,
                        append_start, obs::Tracer::now_ns());
-      metrics_.persist_append();
+      metrics_.add(Counter::persist_journal_appends);
     }
     // Publish the locally solved entry to the replicator (peers apply
     // it via apply_replicated_record, which does not re-publish). The
@@ -364,17 +372,17 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
 
 bool SchedulingService::apply_replicated_record(std::string_view payload) {
   if (cache_ == nullptr) {
-    metrics_.repl_apply_error();
+    metrics_.add(Counter::repl_apply_errors);
     return false;
   }
   try {
     cache_->restore(decode_cache_record(payload));
   } catch (const std::exception&) {
     // Malformed or foreign-version record from a peer: count and drop.
-    metrics_.repl_apply_error();
+    metrics_.add(Counter::repl_apply_errors);
     return false;
   }
-  metrics_.repl_applied();
+  metrics_.add(Counter::repl_applied);
   return true;
 }
 

@@ -32,6 +32,7 @@ using medcc::net::Server;
 using medcc::net::ServerConfig;
 using medcc::sched::Instance;
 using medcc::service::CacheOutcome;
+using medcc::service::Counter;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingService;
 using medcc::service::ServiceConfig;
@@ -93,7 +94,7 @@ TEST(ClusterReplication, PushesSolvedRecordsToPeerServedByteIdentically) {
   ASSERT_TRUE(solved.ok()) << solved.error;
 
   ASSERT_TRUE(eventually([&] {
-    return receiver.metrics().snapshot().repl_applied >= 1;
+    return receiver.metrics().value(Counter::repl_applied) >= 1;
   }));
 
   // The channel handshook at v2 and every record is acked. (The

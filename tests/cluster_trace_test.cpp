@@ -146,13 +146,20 @@ public:
     return config;
   }
 
-  void await_settled() {
+  /// Waits until replication is idle and peers acked at least
+  /// `min_acked` records in all. Idle alone is not enough: a burst
+  /// popped off a peer queue but not yet acked reads as queued == 0,
+  /// sent == acked.
+  void await_settled(std::uint64_t min_acked) {
     for (int i = 0; i < 1000; ++i) {
       bool settled = true;
+      std::uint64_t acked = 0;
       for (const auto& node : nodes_)
-        for (const auto& peer : node.replicator->status().peers)
+        for (const auto& peer : node.replicator->status().peers) {
           if (peer.queued != 0 || peer.sent != peer.acked) settled = false;
-      if (settled) return;
+          acked += peer.acked;
+        }
+      if (settled && acked >= min_acked) return;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     FAIL() << "replication did not settle";
@@ -192,7 +199,7 @@ TEST(ClusterTrace, OneIdSpansClientSolveAndEveryReplicationApply) {
   const auto response =
       client.solve(request_for(example_instance(), 57.0, tenant));
   ASSERT_TRUE(response.ok()) << response.error;
-  cluster.await_settled();
+  cluster.await_settled(/*min_acked=*/TracedClusterFixture::kNodes - 1);
 
   // The client minted exactly one context and retained its record.
   const std::vector<TraceRecord> minted = client_tracer.recent(8);
@@ -237,7 +244,7 @@ TEST(ClusterTrace, FailoverRetryKeepsOneIdFromClientToSurvivor) {
   const auto primed =
       client.solve(request_for(example_instance(), 57.0, tenant));
   ASSERT_TRUE(primed.ok()) << primed.error;
-  cluster.await_settled();
+  cluster.await_settled(/*min_acked=*/TracedClusterFixture::kNodes - 1);
 
   // Hard-stop the tenant's primary, then solve again: the ring walk
   // retries onto a survivor, and the whole detour must carry one id.

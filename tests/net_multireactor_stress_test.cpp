@@ -36,6 +36,7 @@ using medcc::net::NetError;
 using medcc::net::Server;
 using medcc::net::ServerConfig;
 using medcc::sched::Instance;
+using medcc::service::Counter;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
 using medcc::service::SchedulingService;
@@ -156,15 +157,15 @@ TEST(NetMultiReactorStress, DuplicateBlastByteIdenticalToInProcess) {
   }
   EXPECT_EQ(checked, kThreads * kPerThread);
 
-  const auto counters = server.counters();
-  EXPECT_EQ(counters.frames_in, kThreads * kPerThread);
-  EXPECT_EQ(counters.frames_out, kThreads * kPerThread);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters[Counter::frames_in], kThreads * kPerThread);
+  EXPECT_EQ(counters[Counter::frames_out], kThreads * kPerThread);
   // First arrivals (and duplicates racing the first solve) miss; under
   // TSan that window widens, so only require a majority on the fast path.
-  EXPECT_GE(counters.fastpath_hits, kThreads * kPerThread / 2);
+  EXPECT_GE(counters[Counter::wire_fastpath_hits], kThreads * kPerThread / 2);
 
   server.stop();
-  EXPECT_EQ(server.counters().connections_active, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::connections_active), 0u);
 }
 
 TEST(NetMultiReactorStress, MixedExactPermutedMissTraffic) {
@@ -218,8 +219,9 @@ TEST(NetMultiReactorStress, MixedExactPermutedMissTraffic) {
   // least one isomorphic hit must have happened (whichever was solved
   // first seeds the other), unless the wire cache absorbed every
   // repeat -- so assert over the union of hit kinds instead.
-  EXPECT_GT(snap.cache_hits_exact + snap.cache_hits_isomorphic +
-                snap.wire_fastpath_hits,
+  EXPECT_GT(snap[Counter::cache_hits_exact] +
+                snap[Counter::cache_hits_isomorphic] +
+                snap[Counter::wire_fastpath_hits],
             0u);
   server.stop();
 }
@@ -268,8 +270,8 @@ TEST(NetMultiReactorStress, MidFlightStopUnderLoadShutsDownCleanly) {
   keep_going.store(false, std::memory_order_relaxed);
   for (auto& thread : threads) thread.join();
 
-  const auto counters = server->counters();
-  EXPECT_EQ(counters.connections_active, 0u);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters[Counter::connections_active], 0u);
   EXPECT_GE(completed.load(), 50u);
   server.reset();
 
@@ -303,7 +305,7 @@ TEST(NetMultiReactorStress, MultiClientBlastAcrossReactors) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.latency_seconds.size(), 300u);
   EXPECT_GT(stats.latency_quantile(50.0), 0.0);
-  EXPECT_GE(server.counters().fastpath_hits, 300u);
+  EXPECT_GE(service.metrics().value(Counter::wire_fastpath_hits), 300u);
   server.stop();
 }
 

@@ -19,7 +19,11 @@
 #include <cstdint>
 #include <future>
 #include <latch>
+#include <map>
 #include <memory>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -45,6 +49,7 @@ using medcc::net::Server;
 using medcc::net::ServerConfig;
 using medcc::net::WireError;
 using medcc::sched::Instance;
+using medcc::service::Counter;
 using medcc::service::RejectReason;
 using medcc::service::ResponseStatus;
 using medcc::service::SchedulingRequest;
@@ -215,7 +220,7 @@ TEST(NetServer, QueueDeadlineExpiryCrossesTheWire) {
     // The frames are pipelined: wait until the tight request has
     // actually been admitted behind the blocked worker before letting
     // time pass, or the worker could pick it up with zero queue delay.
-    while (service.metrics().snapshot().queue_depth < 1)
+    while (service.metrics().value(Counter::queue_depth) < 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     now_ns.store(10'000'000);  // 10 ms pass while queued
     fixture.release();
@@ -253,7 +258,7 @@ TEST(NetServer, TenantQuotaRejectionCrossesTheWire) {
     // Hold the quota slot until the pipelined excess request has been
     // rejected at admission; releasing earlier would free the slot and
     // let it through.
-    while (service.metrics().snapshot().tenant_quota_rejections < 1)
+    while (service.metrics().value(Counter::tenant_quota_rejections) < 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     fixture.release();
   });
@@ -265,7 +270,7 @@ TEST(NetServer, TenantQuotaRejectionCrossesTheWire) {
   EXPECT_EQ(responses[1].status, ResponseStatus::rejected);
   EXPECT_EQ(responses[1].reject_reason, RejectReason::tenant_quota);
   EXPECT_TRUE(responses[2].ok()) << responses[2].error;
-  EXPECT_EQ(service.metrics().snapshot().tenant_quota_rejections, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::tenant_quota_rejections), 1u);
 }
 
 TEST(NetServer, StatsFrameCarriesMetricsDump) {
@@ -426,8 +431,8 @@ TEST(NetServer, MalformedBodyAnswersErrorFrameAndKeepsConnection) {
   EXPECT_EQ(header.type, FrameType::stats_response);
   EXPECT_EQ(header.request_id, 78u);
 
-  const auto counters = server.counters();
-  EXPECT_EQ(counters.protocol_errors, 1u);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters[Counter::protocol_errors], 1u);
 }
 
 TEST(NetServer, MalformedHeaderClosesConnectionAfterErrorFrame) {
@@ -474,7 +479,7 @@ TEST(NetServer, WriteBackpressurePausesReadingAndRecovers) {
     EXPECT_FALSE(seen[header.request_id]);
     seen[header.request_id] = true;
   }
-  EXPECT_GE(server.counters().backpressure_paused, 1u);
+  EXPECT_GE(service.metrics().value(Counter::backpressure_paused), 1u);
 }
 
 // -- wire-cache fast path --------------------------------------------------
@@ -499,7 +504,7 @@ TEST(NetServer, FastPathServesByteIdenticalMemoizedFrame) {
   const SchedulingResponse first = medcc::net::decode_solve_response(body);
   ASSERT_TRUE(first.ok()) << first.error;
   EXPECT_EQ(first.cache, medcc::service::CacheOutcome::miss);
-  EXPECT_EQ(server.counters().fastpath_hits, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::wire_fastpath_hits), 0u);
 
   // Verbatim duplicate under a different id: must be served from the
   // wire cache, byte-identical to the memoized template with only the
@@ -520,12 +525,62 @@ TEST(NetServer, FastPathServesByteIdenticalMemoizedFrame) {
   EXPECT_EQ(medcc::net::encode_frame(header.type, header.request_id, body),
             medcc::net::encode_solve_response(norm, 9));
 
-  EXPECT_EQ(server.counters().fastpath_hits, 1u);
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.wire_fastpath_hits, 1u);
-  EXPECT_EQ(snap.wire_fastpath_misses, 1u);  // the priming request
+  EXPECT_EQ(snap[Counter::wire_fastpath_hits], 1u);
+  EXPECT_EQ(snap[Counter::wire_fastpath_misses], 1u);  // the priming request
   // The fast path never entered the service: one request total.
-  EXPECT_EQ(snap.requests_total, 1u);
+  EXPECT_EQ(snap[Counter::requests_total], 1u);
+}
+
+// A live Prometheus scrape through the stats frame is well formed and
+// carries the transport rows next to the service's own.
+TEST(NetServer, LivePrometheusScrapeIsWellFormedAndCarriesTransport) {
+  SchedulingService service({.threads = 1});
+  Server server(service);
+  Client client(client_for(server));
+  const auto inst = example_instance();
+  ASSERT_TRUE(client.solve(request_for(inst, 57.0)).ok());  // solved
+  ASSERT_TRUE(client.solve(request_for(inst, 57.0)).ok());  // wire hit
+  const std::string scrape =
+      client.stats(medcc::net::StatsFormat::prometheus);
+
+  const std::regex sample_re(
+      R"(([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+))");
+  std::map<std::string, std::string> typed;  // family -> type
+  std::set<std::string> seen;
+  std::map<std::string, double> value_of;
+  std::istringstream lines(scrape);
+  std::string line;
+  while (std::getline(lines, line)) {
+    SCOPED_TRACE(line);
+    if (line.rfind("# HELP ", 0) == 0) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string family;
+      std::string type;
+      fields >> family >> type;
+      EXPECT_TRUE(typed.emplace(family, type).second) << "family typed twice";
+      continue;
+    }
+    std::smatch m;
+    ASSERT_TRUE(std::regex_match(line, m, sample_re)) << "not a sample";
+    const std::string name = m[1];
+    const std::string key = name + m[2].str();
+    EXPECT_TRUE(seen.insert(key).second) << "series repeats";
+    std::size_t used = 0;
+    value_of[key] = std::stod(m[3].str(), &used);
+    EXPECT_EQ(used, m[3].length()) << "value is not a number";
+    // A histogram's samples carry a suffix on the family name.
+    std::string family = name;
+    for (const std::string suffix : {"_bucket", "_sum", "_count"})
+      if (!typed.contains(family) && name.ends_with(suffix))
+        family = name.substr(0, name.size() - suffix.size());
+    EXPECT_TRUE(typed.contains(family)) << "sample before its # TYPE";
+  }
+  EXPECT_GT(value_of["medcc_frames_total{direction=\"in\"}"], 0.0);
+  EXPECT_DOUBLE_EQ(value_of["medcc_wire_fastpath_total{outcome=\"hit\"}"],
+                   1.0);
+  EXPECT_DOUBLE_EQ(value_of["medcc_protocol_errors_total"], 0.0);
 }
 
 TEST(NetServer, FastPathAbsentWhenWireCacheDisabled) {
@@ -543,11 +598,10 @@ TEST(NetServer, FastPathAbsentWhenWireCacheDisabled) {
   ASSERT_TRUE(second.ok()) << second.error;
   // The result cache still answers, but through the full service path.
   EXPECT_EQ(second.cache, medcc::service::CacheOutcome::hit_exact);
-  EXPECT_EQ(server.counters().fastpath_hits, 0u);
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.wire_fastpath_hits, 0u);
-  EXPECT_EQ(snap.wire_fastpath_misses, 0u);
-  EXPECT_EQ(snap.requests_total, 2u);
+  EXPECT_EQ(snap[Counter::wire_fastpath_hits], 0u);
+  EXPECT_EQ(snap[Counter::wire_fastpath_misses], 0u);
+  EXPECT_EQ(snap[Counter::requests_total], 2u);
 }
 
 // -- multi-reactor ---------------------------------------------------------
@@ -573,16 +627,16 @@ TEST(NetServer, MultiReactorShardsConnectionsAndServesAll) {
   for (auto& client : clients)
     EXPECT_NE(client->stats().find("requests_total"), std::string::npos);
 
-  const auto counters = server.counters();
-  EXPECT_EQ(counters.connections_accepted, kClients);
-  EXPECT_EQ(counters.connections_active, kClients);
-  EXPECT_EQ(counters.frames_in, 2 * kClients);
-  EXPECT_EQ(counters.frames_out, 2 * kClients);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters[Counter::connections_accepted], kClients);
+  EXPECT_EQ(counters[Counter::connections_active], kClients);
+  EXPECT_EQ(counters[Counter::frames_in], 2 * kClients);
+  EXPECT_EQ(counters[Counter::frames_out], 2 * kClients);
   // Identical bodies: every solve after the first rides the fast path.
-  EXPECT_EQ(counters.fastpath_hits, kClients - 1);
+  EXPECT_EQ(counters[Counter::wire_fastpath_hits], kClients - 1);
 
   server.stop();
-  EXPECT_EQ(server.counters().connections_active, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::connections_active), 0u);
 }
 
 TEST(NetServer, FlowControlRejectsExcessInflightFrames) {
@@ -621,8 +675,7 @@ TEST(NetServer, FlowControlRejectsExcessInflightFrames) {
   ASSERT_TRUE(conn.read_frame(header, body));
   EXPECT_EQ(header.request_id, 1u);
   EXPECT_TRUE(medcc::net::decode_solve_response(body).ok());
-  EXPECT_EQ(server.counters().flow_control_rejects, 1u);
-  EXPECT_GE(service.metrics().snapshot().rejected_flow_control, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::rejected_flow_control), 1u);
 }
 
 TEST(NetServer, HelloNegotiatesVersionAndFeatures) {
@@ -642,7 +695,7 @@ TEST(NetServer, HelloNegotiatesVersionAndFeatures) {
   EXPECT_EQ(granted.features & medcc::net::kFeatureReplication,
             medcc::net::kFeatureReplication);
   EXPECT_EQ(granted.node_id, "alpha");
-  EXPECT_EQ(server.counters().hellos, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::hellos), 1u);
 
   // Without a replication hook the feature bit is masked off.
   SchedulingService plain_service({.threads = 1});
@@ -685,8 +738,8 @@ TEST(NetServer, ReplInsertRestoresEntryServedByteIdentically) {
   const auto acks = client.repl_insert_batch({payload});
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].applied) << acks[0].error;
-  EXPECT_EQ(server.counters().repl_records_in, 1u);
-  EXPECT_EQ(receiver.metrics().snapshot().repl_applied, 1u);
+  EXPECT_EQ(receiver.metrics().value(Counter::repl_records_in), 1u);
+  EXPECT_EQ(receiver.metrics().value(Counter::repl_applied), 1u);
 
   // The receiver never solved, yet serves the duplicate byte-exactly.
   const auto hit = client.solve(request_for(inst, 57.0));
@@ -774,9 +827,10 @@ TEST(NetServer, IdleConnectionsAreReaped) {
   // Send nothing; the sweep must close us within a few periods.
   EXPECT_TRUE(conn.server_closed());
   // Allow the counter update to land before asserting.
-  for (int i = 0; i < 100 && server.counters().idle_closed == 0; ++i)
+  for (int i = 0;
+       i < 100 && service.metrics().value(Counter::idle_closed) == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(server.counters().idle_closed, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::idle_closed), 1u);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@ using medcc::net::Client;
 using medcc::net::ClientConfig;
 using medcc::net::Server;
 using medcc::sched::Instance;
+using medcc::service::Counter;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingService;
 
@@ -111,13 +112,13 @@ TEST(NetStress, ManyClientsManyBatchesAllCorrelated) {
   EXPECT_EQ(ok_responses.load(), expected);
   EXPECT_EQ(failures.load(), 0u);
 
-  const auto counters = server.counters();
-  EXPECT_EQ(counters.protocol_errors, 0u);
-  EXPECT_EQ(counters.frames_in, counters.frames_out);
+  const auto counters = service.metrics().snapshot();
+  EXPECT_EQ(counters[Counter::protocol_errors], 0u);
+  EXPECT_EQ(counters[Counter::frames_in], counters[Counter::frames_out]);
 
   // Graceful stop with (possibly) open-but-idle connections.
   server.stop();
-  EXPECT_EQ(server.counters().connections_active, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::connections_active), 0u);
 }
 
 }  // namespace

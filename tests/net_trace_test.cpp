@@ -49,6 +49,7 @@ using medcc::obs::TraceId;
 using medcc::obs::TraceRecord;
 using medcc::obs::Tracer;
 using medcc::sched::Instance;
+using medcc::service::Counter;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
 using medcc::service::SchedulingService;
@@ -369,8 +370,8 @@ TEST(NetTrace, ResponseBytesAreIdenticalWithTracingOnAndOff) {
   const std::string traced_hit = traced_conn.read_raw_frame();
   ASSERT_FALSE(untraced_hit.empty());
   EXPECT_EQ(traced_hit, untraced_hit);
-  EXPECT_GE(traced_server.counters().fastpath_hits, 1u);
-  EXPECT_GE(untraced_server.counters().fastpath_hits, 1u);
+  EXPECT_GE(traced_service.metrics().value(Counter::wire_fastpath_hits), 1u);
+  EXPECT_GE(untraced_service.metrics().value(Counter::wire_fastpath_hits), 1u);
 }
 
 TEST(NetTrace, TracerlessServerStillAnswersTracedFrames) {

@@ -36,6 +36,7 @@ using medcc::cloud::VmType;
 using medcc::sched::Instance;
 using medcc::service::CacheEntry;
 using medcc::service::CacheOutcome;
+using medcc::service::Counter;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
 using medcc::service::SchedulingService;
@@ -143,9 +144,9 @@ TEST_F(ServicePersistTest, WarmStartServesByteIdenticalExactHits) {
 
   SchedulingService warmed(config());
   const auto snap = warmed.metrics().snapshot();
-  EXPECT_EQ(snap.persist_loaded_entries, 2u);
-  EXPECT_EQ(snap.persist_load_errors, 0u);
-  EXPECT_EQ(snap.persist_replay_truncations, 0u);
+  EXPECT_EQ(snap[Counter::persist_loaded_entries], 2u);
+  EXPECT_EQ(snap[Counter::persist_load_errors], 0u);
+  EXPECT_EQ(snap[Counter::persist_replay_truncations], 0u);
 
   const auto warm_a = warmed.submit(request_for(example_instance(), 57.0)).get();
   const auto warm_b = warmed.submit(request_for(diamond(false), 50.0)).get();
@@ -155,7 +156,7 @@ TEST_F(ServicePersistTest, WarmStartServesByteIdenticalExactHits) {
   EXPECT_EQ(warm_b.cache, CacheOutcome::hit_exact);
   EXPECT_EQ(result_bytes(warm_a), result_bytes(live_a));
   EXPECT_EQ(result_bytes(warm_b), result_bytes(live_b));
-  EXPECT_EQ(warmed.metrics().snapshot().cache_misses, 0u);
+  EXPECT_EQ(warmed.metrics().value(Counter::cache_misses), 0u);
 
   const auto text = warmed.metrics().dump_text();
   EXPECT_NE(text.find("persist_loaded_entries 2"), std::string::npos);
@@ -218,8 +219,8 @@ TEST_F(ServicePersistTest, TornJournalTailToleratedAndCounted) {
 
   SchedulingService warmed(config());
   const auto snap = warmed.metrics().snapshot();
-  EXPECT_EQ(snap.persist_replay_truncations, 1u);
-  EXPECT_EQ(snap.persist_loaded_entries, 1u);
+  EXPECT_EQ(snap[Counter::persist_replay_truncations], 1u);
+  EXPECT_EQ(snap[Counter::persist_loaded_entries], 1u);
   EXPECT_NE(
       warmed.metrics().dump_text().find("persist_replay_truncations 1"),
       std::string::npos);
@@ -250,8 +251,8 @@ TEST_F(ServicePersistTest, FutureVersionedRecordSkippedAsLoadError) {
 
   SchedulingService warmed(config());
   const auto snap = warmed.metrics().snapshot();
-  EXPECT_EQ(snap.persist_loaded_entries, 1u);
-  EXPECT_EQ(snap.persist_load_errors, 1u);
+  EXPECT_EQ(snap[Counter::persist_loaded_entries], 1u);
+  EXPECT_EQ(snap[Counter::persist_load_errors], 1u);
   const auto warm = warmed.submit(request_for(example_instance(), 57.0)).get();
   EXPECT_EQ(warm.cache, CacheOutcome::hit_exact);
 }
@@ -266,7 +267,7 @@ TEST_F(ServicePersistTest, FlushPersistenceSnapshotsOnDemand) {
   EXPECT_GE(stats.flushes, 1u);
   EXPECT_EQ(stats.snapshot_records, 1u);
   EXPECT_EQ(stats.journal_bytes, medcc::persist::kFileHeaderSize);
-  EXPECT_GE(service.metrics().snapshot().persist_flushes, 1u);
+  EXPECT_GE(service.metrics().value(Counter::persist_flushes), 1u);
 }
 
 TEST_F(ServicePersistTest, PersistenceDisabledWithoutDir) {
@@ -277,7 +278,7 @@ TEST_F(ServicePersistTest, PersistenceDisabledWithoutDir) {
   EXPECT_EQ(service.persist_stats().appends, 0u);
   ASSERT_TRUE(
       service.submit(request_for(example_instance(), 57.0)).get().ok());
-  EXPECT_EQ(service.metrics().snapshot().persist_journal_appends, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::persist_journal_appends), 0u);
 }
 
 // -- adversarial cache records ----------------------------------------------
@@ -340,10 +341,10 @@ TEST(CacheRecordCodec, ReplicatedPrefixesNeverReachTheCache) {
   SchedulingService service(std::move(c));
   const std::string record = solved_record();
   for (std::size_t len = 0; len < record.size(); ++len) {
-    const auto errors = service.metrics().snapshot().repl_apply_errors;
+    const auto errors = service.metrics().value(Counter::repl_apply_errors);
     EXPECT_FALSE(service.apply_replicated_record(record.substr(0, len)))
         << "prefix length " << len;
-    EXPECT_EQ(service.metrics().snapshot().repl_apply_errors, errors + 1)
+    EXPECT_EQ(service.metrics().value(Counter::repl_apply_errors), errors + 1)
         << "prefix length " << len;
     EXPECT_EQ(service.cache_stats().size, 0u) << "prefix length " << len;
   }

@@ -23,6 +23,7 @@
 namespace {
 
 using medcc::sched::Instance;
+using medcc::service::Counter;
 using medcc::service::RejectReason;
 using medcc::service::ResponseStatus;
 using medcc::service::SchedulingRequest;
@@ -104,20 +105,20 @@ TEST(ServiceStress, ConcurrentClientsDuplicateHeavyMix) {
   EXPECT_EQ(ok_count.load() + other_count.load(), kClients * kPerClient);
   EXPECT_EQ(other_count.load(), 0u);
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.requests_total, kClients * kPerClient);
-  EXPECT_EQ(snap.responses_ok, kClients * kPerClient);
+  EXPECT_EQ(snap[Counter::requests_total], kClients * kPerClient);
+  EXPECT_EQ(snap[Counter::responses_ok], kClients * kPerClient);
   // Only the first solve of each of the 4 instances can miss; everything
   // else must be served from the cache (exact hits here).
-  EXPECT_EQ(snap.cache_misses + snap.cache_hits_exact +
-                snap.cache_hits_isomorphic,
+  EXPECT_EQ(snap[Counter::cache_misses] + snap[Counter::cache_hits_exact] +
+                snap[Counter::cache_hits_isomorphic],
             kClients * kPerClient);
-  EXPECT_GE(snap.cache_misses, 1u);
+  EXPECT_GE(snap[Counter::cache_misses], 1u);
   // Concurrent workers can race the first solve of one instance (both
   // miss before either inserts), so up to `threads` misses per distinct
   // instance are legitimate; after the first insert completes, every
   // later request hits.
-  EXPECT_LE(snap.cache_misses, pool.size() * 4);
-  EXPECT_EQ(snap.queue_depth, 0);
+  EXPECT_LE(snap[Counter::cache_misses], pool.size() * 4);
+  EXPECT_EQ(snap[Counter::queue_depth], 0u);
 }
 
 TEST(ServiceStress, MetricReadersRaceRequestPath) {
@@ -131,7 +132,7 @@ TEST(ServiceStress, MetricReadersRaceRequestPath) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_relaxed)) {
         const auto snap = service.metrics().snapshot();
-        ASSERT_LE(snap.responses_ok, snap.requests_total);
+        ASSERT_LE(snap[Counter::responses_ok], snap[Counter::requests_total]);
         ASSERT_FALSE(service.metrics().dump_text().empty());
         (void)service.cache_stats();
       }
@@ -183,7 +184,7 @@ TEST(ServiceStress, SubmissionsRacingShutdown) {
     stopper.join();
     EXPECT_EQ(resolved.load(), kClients * kPerClient);
     const auto snap = service->metrics().snapshot();
-    EXPECT_EQ(snap.requests_total, kClients * kPerClient);
+    EXPECT_EQ(snap[Counter::requests_total], kClients * kPerClient);
     service.reset();  // destructor repeats shutdown; must be idempotent
   }
 }

@@ -32,6 +32,7 @@ using medcc::cloud::VmCatalog;
 using medcc::cloud::VmType;
 using medcc::sched::Instance;
 using medcc::service::CacheOutcome;
+using medcc::service::Counter;
 using medcc::service::RejectReason;
 using medcc::service::ResponseStatus;
 using medcc::service::SchedulingRequest;
@@ -137,8 +138,8 @@ TEST(Service, ExactDuplicateIsByteIdenticalCacheHit) {
   expect_identical(second.result, first.result);
 
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.cache_misses, 1u);
-  EXPECT_EQ(snap.cache_hits_exact, 1u);
+  EXPECT_EQ(snap[Counter::cache_misses], 1u);
+  EXPECT_EQ(snap[Counter::cache_hits_exact], 1u);
   EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 0.5);
 }
 
@@ -164,7 +165,7 @@ TEST(Service, PermutedDuplicateServedIsomorphically) {
                                                twin.result.schedule,
                                                twin.result.eval, vopts)
                   .ok());
-  EXPECT_EQ(service.metrics().snapshot().cache_hits_isomorphic, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::cache_hits_isomorphic), 1u);
 }
 
 TEST(Service, CacheDisabledBypasses) {
@@ -177,7 +178,7 @@ TEST(Service, CacheDisabledBypasses) {
     EXPECT_EQ(response.cache, CacheOutcome::bypass);
   }
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.cache_bypass, 2u);
+  EXPECT_EQ(snap[Counter::cache_bypass], 2u);
   EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 0.0);
 }
 
@@ -208,7 +209,34 @@ TEST(Service, UnknownSolverRejectedImmediately) {
           .get();
   EXPECT_EQ(response.status, ResponseStatus::rejected);
   EXPECT_EQ(response.reject_reason, RejectReason::unknown_solver);
-  EXPECT_EQ(service.metrics().snapshot().rejected_unknown_solver, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::rejected_unknown_solver), 1u);
+}
+
+// Solver names arrive from the wire unchecked: an unknown one must not
+// grow the per-solver table or reach a dump, where a quote or newline
+// would forge series.
+TEST(Service, UnknownSolverNamesNeverReachMetrics) {
+  SchedulingService service({.threads = 1});
+  const std::string injected = "medcc_injected_total";
+  for (const std::string& name :
+       {std::string("no-such-solver"), std::string(64, 'x'),
+        "evil\"} 1\n" + injected + " 999\nrequests_solver_forged"}) {
+    const auto response =
+        service.submit(request_for(example_instance(), 57.0, name)).get();
+    EXPECT_EQ(response.reject_reason, RejectReason::unknown_solver);
+  }
+  const auto snap = service.metrics().snapshot();
+  EXPECT_TRUE(snap.per_solver.empty());
+  EXPECT_EQ(snap[Counter::rejected_unknown_solver], 3u);
+  EXPECT_EQ(snap[Counter::requests_total], 3u);
+  for (const std::string& dump :
+       {service.metrics().dump_text(), service.metrics().dump_csv(),
+        service.metrics().dump_prometheus()}) {
+    EXPECT_EQ(dump.find(injected), std::string::npos) << dump;
+    EXPECT_EQ(dump.find("forged"), std::string::npos) << dump;
+    EXPECT_EQ(dump.find("xxxxxxxx"), std::string::npos) << dump;
+    EXPECT_EQ(dump.find("no-such-solver"), std::string::npos) << dump;
+  }
 }
 
 TEST(Service, InvalidRequestsRejected) {
@@ -236,7 +264,7 @@ TEST(Service, InvalidRequestsRejected) {
   nan_deadline.deadline_ms = std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(service.submit(std::move(nan_deadline)).get().reject_reason,
             RejectReason::invalid_request);
-  EXPECT_EQ(service.metrics().snapshot().rejected_invalid, 5u);
+  EXPECT_EQ(service.metrics().value(Counter::rejected_invalid), 5u);
 }
 
 TEST(Service, InfeasibleBudgetFailsWithSolverError) {
@@ -245,7 +273,7 @@ TEST(Service, InfeasibleBudgetFailsWithSolverError) {
       service.submit(request_for(example_instance(), 1.0)).get();
   EXPECT_EQ(response.status, ResponseStatus::failed);
   EXPECT_FALSE(response.error.empty());
-  EXPECT_EQ(service.metrics().snapshot().responses_failed, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::responses_failed), 1u);
 }
 
 TEST(Service, ShutdownRejectsNewSubmissions) {
@@ -313,9 +341,9 @@ TEST(Service, BoundedQueueRejectsWhenFull) {
   EXPECT_TRUE(blocked.get().ok());
   for (auto& f : queued) EXPECT_TRUE(f.get().ok());
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.rejected_queue_full, 1u);
-  EXPECT_EQ(snap.queue_depth, 0);
-  EXPECT_GE(snap.queue_depth_peak, 2);
+  EXPECT_EQ(snap[Counter::rejected_queue_full], 1u);
+  EXPECT_EQ(snap[Counter::queue_depth], 0u);
+  EXPECT_GE(snap[Counter::queue_depth_peak], 2u);
 }
 
 TEST(Service, DeadlineExpiryUnderFrozenClock) {
@@ -354,7 +382,7 @@ TEST(Service, DeadlineExpiryUnderFrozenClock) {
 
   const auto served = loose_future.get();
   EXPECT_TRUE(served.ok());
-  EXPECT_EQ(service.metrics().snapshot().rejected_deadline, 1u);
+  EXPECT_EQ(service.metrics().value(Counter::rejected_deadline), 1u);
 }
 
 TEST(Service, DefaultDeadlineAppliesWhenRequestHasNone) {
@@ -415,7 +443,7 @@ TEST(Service, TenantQuotaBoundsInflightPerTenant) {
   EXPECT_TRUE(service.submit(tenant_request("a", "cg")).get().ok());
 
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.tenant_quota_rejections, 1u);
+  EXPECT_EQ(snap[Counter::tenant_quota_rejections], 1u);
   EXPECT_NE(service.metrics().dump_text().find("tenant_quota_rejections 1"),
             std::string::npos);
 }
@@ -430,7 +458,7 @@ TEST(Service, TenantQuotaDisabledByDefault) {
     futures.push_back(service.submit(std::move(req)));
   }
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(service.metrics().snapshot().tenant_quota_rejections, 0u);
+  EXPECT_EQ(service.metrics().value(Counter::tenant_quota_rejections), 0u);
 }
 
 TEST(Service, SubmitBatchAdmitsEachRequestIndependently) {
@@ -512,8 +540,8 @@ TEST(Service, CacheTtlExpiresEntriesUnderInjectedClock) {
   expect_identical(aged.result, first.result);  // solvers are deterministic
 
   const auto snap = service.metrics().snapshot();
-  EXPECT_EQ(snap.cache_misses, 2u);
-  EXPECT_GE(snap.cache_expired, 1u);
+  EXPECT_EQ(snap[Counter::cache_misses], 2u);
+  EXPECT_GE(snap[Counter::cache_expired], 1u);
   EXPECT_NE(service.metrics().dump_text().find("cache_expired"),
             std::string::npos);
 }
@@ -531,7 +559,7 @@ TEST(Service, SweepExpiredDropsAgedEntriesInBulk) {
   EXPECT_EQ(service.sweep_expired(), 0u);
   now = 5;
   EXPECT_EQ(service.sweep_expired(), 2u);
-  EXPECT_GE(service.metrics().snapshot().cache_expired, 2u);
+  EXPECT_GE(service.metrics().value(Counter::cache_expired), 2u);
 }
 
 TEST(Service, OnCacheInsertFiresOnlyForLocalMisses) {
@@ -574,8 +602,8 @@ TEST(Service, ApplyReplicatedRecordServesByteIdenticalHit) {
   SchedulingService receiver({.threads = 1});
   ASSERT_TRUE(receiver.apply_replicated_record(published.front()));
   const auto snap = receiver.metrics().snapshot();
-  EXPECT_EQ(snap.repl_applied, 1u);
-  EXPECT_EQ(snap.repl_apply_errors, 0u);
+  EXPECT_EQ(snap[Counter::repl_applied], 1u);
+  EXPECT_EQ(snap[Counter::repl_apply_errors], 0u);
 
   // The receiver never solved, yet answers the duplicate exactly.
   const auto hit = receiver.submit(request_for(inst, 57.0)).get();
@@ -588,12 +616,12 @@ TEST(Service, ApplyReplicatedRecordRejectsGarbage) {
   SchedulingService service({.threads = 1});
   EXPECT_FALSE(service.apply_replicated_record("not a cache record"));
   EXPECT_FALSE(service.apply_replicated_record(""));
-  EXPECT_EQ(service.metrics().snapshot().repl_apply_errors, 2u);
+  EXPECT_EQ(service.metrics().value(Counter::repl_apply_errors), 2u);
 
   // A cache-disabled service cannot apply records at all.
   SchedulingService uncached({.threads = 1, .cache_capacity = 0});
   EXPECT_FALSE(uncached.apply_replicated_record("anything"));
-  EXPECT_EQ(uncached.metrics().snapshot().repl_apply_errors, 1u);
+  EXPECT_EQ(uncached.metrics().value(Counter::repl_apply_errors), 1u);
 }
 
 TEST(Service, PerSolverCountsTracked) {

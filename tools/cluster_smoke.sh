@@ -133,6 +133,15 @@ if [ "$misses" -ne 0 ] || [ "$hits" -lt 1 ] || [ "$applied" -lt 1 ]; then
   cat "$workdir/stats1.txt" >&2
   exit 1
 fi
+# Transport rows ride the same live dump: the survivor saw neither
+# malformed frames nor answers lost to vanished peers.
+perrors="$(metric "$workdir/stats1.txt" protocol_errors)"
+dropped="$(metric "$workdir/stats1.txt" dropped_responses)"
+if [ "$perrors" -ne 0 ] || [ "$dropped" -ne 0 ]; then
+  echo "cluster_smoke: FAIL: protocol_errors=$perrors dropped_responses=$dropped" >&2
+  cat "$workdir/stats1.txt" >&2
+  exit 1
+fi
 
 echo "== survivor status: node1 sees the dead peer as unhealthy"
 "$CTL" --nodes "127.0.0.1:${ports[1]},127.0.0.1:${ports[2]}" \

@@ -265,12 +265,6 @@ int main(int argc, char** argv) {
     if (local_server) {
       client.close();
       local_server->stop();
-      const auto wire = local_server->counters();
-      std::cout << "--- transport ---\n"
-                << "connections_accepted " << wire.connections_accepted
-                << " frames_in " << wire.frames_in << " frames_out "
-                << wire.frames_out << " protocol_errors "
-                << wire.protocol_errors << "\n";
     }
   } catch (const std::exception& ex) {
     std::cerr << "medcc_serve_demo: " << ex.what() << "\n";

@@ -182,9 +182,11 @@ int main(int argc, char** argv) {
           medcc::net::ClusterStatus status;
           if (repl != nullptr) status = repl->status();
           status.node_id = node_id;
-          const auto snapshot = service.metrics().snapshot();
-          status.repl_applied = snapshot.repl_applied;
-          status.repl_apply_errors = snapshot.repl_apply_errors;
+          const auto& metrics = service.metrics();
+          status.repl_applied =
+              metrics.value(medcc::service::Counter::repl_applied);
+          status.repl_apply_errors =
+              metrics.value(medcc::service::Counter::repl_apply_errors);
           return status;
         };
 
@@ -211,21 +213,8 @@ int main(int argc, char** argv) {
     if (replicator != nullptr) replicator->stop();
     service.drain();
 
-    const auto wire = server.counters();
-    std::cout << "--- transport ---\n"
-              << "connections_accepted " << wire.connections_accepted << "\n"
-              << "frames_in " << wire.frames_in << "\n"
-              << "frames_out " << wire.frames_out << "\n"
-              << "protocol_errors " << wire.protocol_errors << "\n"
-              << "idle_closed " << wire.idle_closed << "\n"
-              << "dropped_responses " << wire.dropped_responses << "\n"
-              << "backpressure_paused " << wire.backpressure_paused << "\n"
-              << "flow_control_rejects " << wire.flow_control_rejects << "\n"
-              << "hellos " << wire.hellos << "\n"
-              << "repl_records_in " << wire.repl_records_in << "\n"
-              << "traced_solves " << wire.traced_solves << "\n"
-              << "trace_dumps " << wire.trace_dumps << "\n"
-              << "--- metrics ---\n"
+    // The registry dump carries the transport rows too.
+    std::cout << "--- metrics ---\n"
               << (metrics_dump == "prometheus"
                       ? service.metrics().dump_prometheus()
                       : metrics_dump == "csv" ? service.metrics().dump_csv()

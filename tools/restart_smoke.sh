@@ -73,6 +73,15 @@ if [ "$misses" -ne 0 ] || [ "$hits" -lt 1 ]; then
   cat "$workdir/stats_after.txt" >&2
   exit 1
 fi
+# Transport rows ride the same live dump: a clean run has neither
+# malformed frames nor answers lost to vanished peers.
+perrors="$(metric "$workdir/stats_after.txt" protocol_errors)"
+dropped="$(metric "$workdir/stats_after.txt" dropped_responses)"
+if [ "$perrors" -ne 0 ] || [ "$dropped" -ne 0 ]; then
+  echo "restart_smoke: FAIL: protocol_errors=$perrors dropped_responses=$dropped" >&2
+  cat "$workdir/stats_after.txt" >&2
+  exit 1
+fi
 
 kill -KILL "$server_pid" 2>/dev/null || true
 wait "$server_pid" 2>/dev/null || true
