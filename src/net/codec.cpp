@@ -257,6 +257,18 @@ std::shared_ptr<const sched::Instance> decode_instance(WireReader& reader) {
   }
 }
 
+/// Reads the scalar prefix of a solve_request body: everything before
+/// the instance section.
+service::SchedulingRequest decode_solve_prefix(WireReader& reader) {
+  service::SchedulingRequest request;
+  request.budget = finite_f64(reader);
+  request.deadline_ms = finite_f64(reader);
+  request.solver = reader.str(kMaxString);
+  request.config = reader.str(kMaxString);
+  request.tenant = reader.str(kMaxString);
+  return request;
+}
+
 }  // namespace
 
 std::string encode_solve_request(const service::SchedulingRequest& request,
@@ -274,15 +286,32 @@ std::string encode_solve_request(const service::SchedulingRequest& request,
 
 service::SchedulingRequest decode_solve_request(std::string_view body) {
   WireReader reader(body);
-  service::SchedulingRequest request;
-  request.budget = finite_f64(reader);
-  request.deadline_ms = finite_f64(reader);
-  request.solver = reader.str(kMaxString);
-  request.config = reader.str(kMaxString);
-  request.tenant = reader.str(kMaxString);
+  service::SchedulingRequest request = decode_solve_prefix(reader);
   request.instance = decode_instance(reader);
   reader.expect_done();
   return request;
+}
+
+InternedRequest decode_solve_request_interned(
+    std::string_view body, service::InstanceTable& instances) {
+  WireReader reader(body);
+  InternedRequest out{decode_solve_prefix(reader)};
+  service::SchedulingRequest& request = out.request;
+  const std::string_view section =
+      body.substr(body.size() - reader.remaining());
+  const std::size_t section_hash = service::InstanceTable::hash(section);
+  if (auto entry = instances.find(section, section_hash)) {
+    request.instance = entry->instance();
+    request.interned = std::move(entry);
+    out.intern_hit = true;
+    return out;
+  }
+  request.instance = decode_instance(reader);
+  reader.expect_done();
+  request.interned =
+      std::make_shared<const service::InternedInstance>(request.instance);
+  instances.insert(std::string(section), section_hash, request.interned);
+  return out;
 }
 
 // -- trace context / traced solve ------------------------------------------

@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "service/instance_table.hpp"
 #include "service/request.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
@@ -169,6 +170,23 @@ inline void set_request_id(char* frame, std::uint64_t request_id) {
 /// including instances that fail workflow validation.
 [[nodiscard]] service::SchedulingRequest decode_solve_request(
     std::string_view body);
+
+/// A solve_request decoded through an InstanceTable.
+struct InternedRequest {
+  service::SchedulingRequest request;
+  /// The instance came from the table (no instance decode, no build).
+  bool intern_hit = false;
+};
+
+/// decode_solve_request() for the serving path: decodes the scalar
+/// prefix, then looks the instance section (every byte after `tenant`)
+/// up in `instances`. A hit reuses the entry decoded from the same
+/// bytes; a miss decodes as decode_solve_request() does and interns the
+/// result only once it has fully validated. Either way
+/// `request.interned` names the entry. Throws exactly what
+/// decode_solve_request() throws for the same body.
+[[nodiscard]] InternedRequest decode_solve_request_interned(
+    std::string_view body, service::InstanceTable& instances);
 
 /// Full frame for one SchedulingResponse. The schedule, MED, cost and
 /// iteration count travel bit-exactly; the CpmResult timing detail is

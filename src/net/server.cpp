@@ -590,7 +590,14 @@ void Server::handle_solve(Reactor& r, Connection& conn,
   }
   service::SchedulingRequest request;
   try {
-    request = decode_solve_request(inner);
+    // A budget sweep repeats one instance's bytes: the intern table
+    // hands back the instance (and, worker-side, its print) decoded
+    // from the same bytes before.
+    InternedRequest decoded =
+        decode_solve_request_interned(inner, service_.instance_table());
+    metrics_.add(decoded.intern_hit ? Counter::instance_intern_hits
+                                    : Counter::instance_intern_misses);
+    request = std::move(decoded.request);
   } catch (const CodecError& e) {
     // Bad body, sound framing: report and keep the stream alive.
     metrics_.add(Counter::protocol_errors);
@@ -624,7 +631,8 @@ void Server::handle_solve(Reactor& r, Connection& conn,
       [queue = r.completions, wire = wire_cache_, serial, id,
        key = wire_cache_ != nullptr ? std::string(inner) : std::string(),
        tracer, trace_ctx, buffer = std::move(trace_buffer), started_ns,
-       origin = config_.node_id](service::SchedulingResponse response) {
+       origin = config_.node_id](
+          service::SchedulingResponse response) mutable {
         std::string bytes;
         try {
           bytes = encode_solve_response(response, id);
@@ -642,7 +650,7 @@ void Server::handle_solve(Reactor& r, Connection& conn,
           response.solve_ms = 0.0;
           response.cache = service::CacheOutcome::hit_exact;
           try {
-            wire->insert(key, encode_solve_response(response, 0));
+            wire->insert(std::move(key), encode_solve_response(response, 0));
           } catch (...) {
             // Memoization is an optimization; never fail the reply.
           }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "service/instance_table.hpp"
 #include "util/prng.hpp"
 
 namespace medcc::service {
@@ -50,14 +51,12 @@ bool all_distinct(std::vector<std::uint64_t> hashes) {
   return std::adjacent_find(hashes.begin(), hashes.end()) == hashes.end();
 }
 
-/// Runs the full Weisfeiler-Lehman labeling under `seed` and returns the
-/// final per-module labels; `canonical` receives the order-independent
-/// 64-bit combination of everything.
+/// Runs the full Weisfeiler-Lehman labeling under `seed`. Returns the
+/// final per-module labels; `state` receives the order-independent
+/// chain over labels and type hashes, stopped before the scalars.
 std::vector<std::uint64_t> label_run(const sched::Instance& inst,
-                                     double budget, std::string_view solver,
-                                     std::string_view config,
                                      std::uint64_t seed,
-                                     std::uint64_t& canonical) {
+                                     std::uint64_t& state) {
   const auto& wf = inst.workflow();
   const auto& graph = wf.graph();
   const std::size_t m = wf.module_count();
@@ -111,7 +110,7 @@ std::vector<std::uint64_t> label_run(const sched::Instance& inst,
     label.swap(next);
   }
 
-  // Order-independent combination of labels, type hashes, and scalars.
+  // Order-independent combination of labels and type hashes.
   std::uint64_t h = chain(seed, 0x6d656463ULL);  // "medc" tag
   h = chain(h, m);
   h = chain(h, graph.edge_count());
@@ -121,21 +120,13 @@ std::vector<std::uint64_t> label_run(const sched::Instance& inst,
   h = chain(h, module_sum);
   std::uint64_t type_sum = 0;
   for (const std::uint64_t t : type_hash) type_sum += mix(t);
-  h = chain(h, type_sum);
-  h = chain_double(h, budget);
-  h = chain_double(h, inst.billing().quantum());
-  h = chain_double(h, inst.network().bandwidth);
-  h = chain_double(h, inst.network().link_delay);
-  h = chain_double(h, inst.network().transfer_cost_rate);
-  h = chain_string(h, solver);
-  h = chain_string(h, config);
-  canonical = h;
+  state = chain(h, type_sum);
   return label;
 }
 
-/// Order-dependent hash of the request layout, index for index.
-std::uint64_t exact_hash(const sched::Instance& inst, double budget,
-                         std::string_view solver, std::string_view config) {
+/// Order-dependent hash of the instance layout, index for index,
+/// stopped before the scalars.
+std::uint64_t exact_state(const sched::Instance& inst) {
   const auto& wf = inst.workflow();
   const auto& graph = wf.graph();
   std::uint64_t h = 0x65786163ULL;  // "exac" tag
@@ -159,43 +150,76 @@ std::uint64_t exact_hash(const sched::Instance& inst, double budget,
     h = chain_double(h, inst.catalog().type(j).processing_power);
     h = chain_double(h, inst.catalog().type(j).cost_rate);
   }
-  h = chain_double(h, budget);
-  h = chain_double(h, inst.billing().quantum());
-  h = chain_double(h, inst.network().bandwidth);
-  h = chain_double(h, inst.network().link_delay);
-  h = chain_double(h, inst.network().transfer_cost_rate);
-  h = chain_string(h, solver);
-  h = chain_string(h, config);
   return h;
+}
+
+/// The scalar part: budget, quantum, network, solver, config -- in this
+/// order -- folded into one chain state of the print.
+std::uint64_t chain_scalars(std::uint64_t h, const InstancePrint& print,
+                            double budget, std::string_view solver,
+                            std::string_view config) {
+  h = chain_double(h, budget);
+  h = chain_double(h, print.quantum);
+  h = chain_double(h, print.network.bandwidth);
+  h = chain_double(h, print.network.link_delay);
+  h = chain_double(h, print.network.transfer_cost_rate);
+  h = chain_string(h, solver);
+  return chain_string(h, config);
 }
 
 }  // namespace
 
-FingerprintDetail fingerprint_instance(const sched::Instance& instance,
-                                       double budget, std::string_view solver,
-                                       std::string_view config) {
-  FingerprintDetail detail;
-  detail.module_hash = label_run(instance, budget, solver, config,
-                                 0x243f6a8885a308d3ULL,  // pi digits
-                                 detail.canonical.hi);
-  std::uint64_t lo = 0;
-  (void)label_run(instance, budget, solver, config,
+InstancePrint print_instance(const sched::Instance& instance) {
+  InstancePrint print;
+  print.module_hash = label_run(instance,
+                                0x243f6a8885a308d3ULL,  // pi digits
+                                print.hi_state);
+  (void)label_run(instance,
                   0x13198a2e03707344ULL,  // more pi digits
-                  lo);
-  detail.canonical.lo = lo;
-  detail.type_hash.resize(instance.type_count());
+                  print.lo_state);
+  print.exact_state = exact_state(instance);
+  print.quantum = instance.billing().quantum();
+  print.network = instance.network();
+  print.type_hash.resize(instance.type_count());
   for (std::size_t j = 0; j < instance.type_count(); ++j)
-    detail.type_hash[j] =
+    print.type_hash[j] =
         hash_type(instance.catalog().type(j), 0x243f6a8885a308d3ULL);
-  detail.modules_distinct = all_distinct(detail.module_hash);
-  detail.types_distinct = all_distinct(detail.type_hash);
-  detail.exact = exact_hash(instance, budget, solver, config);
+  print.modules_distinct = all_distinct(print.module_hash);
+  print.types_distinct = all_distinct(print.type_hash);
+  return print;
+}
+
+FingerprintDetail finish_fingerprint(const InstancePrint& print,
+                                     double budget, std::string_view solver,
+                                     std::string_view config) {
+  FingerprintDetail detail;
+  detail.canonical.hi =
+      chain_scalars(print.hi_state, print, budget, solver, config);
+  detail.canonical.lo =
+      chain_scalars(print.lo_state, print, budget, solver, config);
+  detail.exact =
+      chain_scalars(print.exact_state, print, budget, solver, config);
+  detail.module_hash = print.module_hash;
+  detail.type_hash = print.type_hash;
+  detail.modules_distinct = print.modules_distinct;
+  detail.types_distinct = print.types_distinct;
   detail.solver = std::string(solver);
   return detail;
 }
 
+FingerprintDetail fingerprint_instance(const sched::Instance& instance,
+                                       double budget, std::string_view solver,
+                                       std::string_view config) {
+  return finish_fingerprint(print_instance(instance), budget, solver, config);
+}
+
 FingerprintDetail fingerprint(const SchedulingRequest& request) {
   MEDCC_EXPECTS(request.instance != nullptr);
+  if (request.interned != nullptr) {
+    MEDCC_EXPECTS(request.interned->instance() == request.instance);
+    return finish_fingerprint(request.interned->print(), request.budget,
+                              request.solver, request.config);
+  }
   return fingerprint_instance(*request.instance, request.budget,
                               request.solver, request.config);
 }

@@ -21,6 +21,15 @@
 // Module and VM-type *names* are display-only and deliberately excluded;
 // workloads enter via the TE/CE rows they induce, so a from_matrix
 // instance and a from_model instance with identical matrices coincide.
+//
+// The work splits in two. The instance part (the InstancePrint: both
+// label runs, the type hashes and the exact hash, each stopped just
+// before the scalars) depends on the instance alone; the scalar part
+// folds budget, quantum, network, solver and config into those chain
+// states in one fixed order. A budget sweep over one instance computes
+// the print once (see service/instance_table.hpp) and pays only the
+// scalar part per request; fingerprint_instance() composes the two, so
+// both routes give bit-identical keys by construction.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cloud/cost_model.hpp"
 #include "sched/instance.hpp"
 #include "service/request.hpp"
 
@@ -62,9 +72,36 @@ struct FingerprintDetail {
   std::string solver;
 };
 
+/// The instance part of a fingerprint: everything that does not depend
+/// on the budget, solver or config.
+struct InstancePrint {
+  /// Chain states of the two seeded label runs (canonical hi / lo) and
+  /// of the exact hash, each reached just before the budget is folded.
+  std::uint64_t hi_state = 0;
+  std::uint64_t lo_state = 0;
+  std::uint64_t exact_state = 0;
+  /// The instance's own scalars, folded after the budget.
+  double quantum = 0.0;
+  cloud::NetworkModel network;
+  std::vector<std::uint64_t> module_hash;
+  std::vector<std::uint64_t> type_hash;
+  bool modules_distinct = false;
+  bool types_distinct = false;
+};
+
+/// Computes the instance part (both WL label runs): the expensive half.
+[[nodiscard]] InstancePrint print_instance(const sched::Instance& instance);
+
+/// Folds the scalar part into `print`: the cheap half.
+[[nodiscard]] FingerprintDetail finish_fingerprint(const InstancePrint& print,
+                                                   double budget,
+                                                   std::string_view solver,
+                                                   std::string_view config);
+
 /// Fingerprints (instance, budget, solver, config). `request.deadline_ms`
 /// and `request.tenant` are quality-of-service knobs, not part of the
-/// problem, and are excluded -- tenants share cached results.
+/// problem, and are excluded -- tenants share cached results. A request
+/// decoded through the InstanceTable reuses its entry's print.
 [[nodiscard]] FingerprintDetail fingerprint(const SchedulingRequest& request);
 
 [[nodiscard]] FingerprintDetail fingerprint_instance(

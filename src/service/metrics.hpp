@@ -75,6 +75,8 @@ enum class Counter : std::uint8_t {
   repl_records_in,
   traced_solves,
   trace_dumps,
+  instance_intern_hits,
+  instance_intern_misses,
 };
 
 /// Latency histogram ids (seconds), in rendering order.
@@ -138,9 +140,12 @@ inline constexpr auto kCounterRows = std::to_array<MetricRow>({
   {"repl_records_in", "medcc_repl_records_in_total", "", "Replication frames received", MetricKind::counter},
   {"traced_solves", "medcc_traced_solves_total", "", "Traced solve requests received", MetricKind::counter},
   {"trace_dumps", "medcc_trace_dumps_total", "", "Trace dump requests answered", MetricKind::counter},
+  {"instance_intern_hits", "medcc_instance_intern_total", "outcome=\"hit\"", "Decoded solve requests by instance-table outcome", MetricKind::counter},
+  {"instance_intern_misses", "medcc_instance_intern_total", "outcome=\"miss\"", "Decoded solve requests by instance-table outcome", MetricKind::counter},
 });
 inline constexpr std::size_t kCounters = kCounterRows.size();
-static_assert(static_cast<std::size_t>(Counter::trace_dumps) + 1 == kCounters,
+static_assert(static_cast<std::size_t>(Counter::instance_intern_misses) + 1 ==
+                  kCounters,
               "one row per Counter");
 
 /// One row per Latency, in enum order.

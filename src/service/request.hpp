@@ -17,12 +17,19 @@
 
 namespace medcc::service {
 
+class InternedInstance;  // service/instance_table.hpp
+
 /// One scheduling call: solve `instance` under `budget` with the solver
 /// registered as `solver`.
 struct SchedulingRequest {
   /// Shared so duplicate-heavy request streams never copy the instance;
   /// the service only reads it. Must be non-null.
   std::shared_ptr<const sched::Instance> instance;
+  /// The InstanceTable entry `instance` was decoded into, or nullptr.
+  /// Set by the network decode path; it lets fingerprint() reuse the
+  /// entry's print across a budget sweep. When set, `instance` is the
+  /// entry's instance.
+  std::shared_ptr<const InternedInstance> interned;
   double budget = 0.0;
   /// Id in the service's SolverRegistry ("cg", "gain3", ...).
   std::string solver = "cg";

@@ -28,6 +28,7 @@
 #include "persist/store.hpp"
 #include "sched/solver_registry.hpp"
 #include "service/cache.hpp"
+#include "service/instance_table.hpp"
 #include "service/metrics.hpp"
 #include "service/request.hpp"
 #include "service/wire_cache.hpp"
@@ -145,6 +146,10 @@ public:
   /// disabled. The cache outlives any server using it: it is owned by
   /// the service, which by contract outlives its front ends.
   [[nodiscard]] WireCache* wire_cache() { return wire_cache_.get(); }
+  /// Decoded instances keyed by their wire bytes (always on; see
+  /// service/instance_table.hpp). Like wire_cache(), it outlives the
+  /// front ends that use it.
+  [[nodiscard]] InstanceTable& instance_table() { return instances_; }
   [[nodiscard]] bool persistence_enabled() const { return store_ != nullptr; }
   /// Cache occupancy counters; zeros when the cache is disabled.
   [[nodiscard]] ResultCache::Stats cache_stats() const;
@@ -193,6 +198,8 @@ private:
   MEDCC_NOT_GUARDED std::unique_ptr<ResultCache> cache_;
   /// Encoded-frame memo, same ownership discipline as cache_.
   MEDCC_NOT_GUARDED std::unique_ptr<WireCache> wire_cache_;
+  /// Internally locked.
+  MEDCC_NOT_GUARDED InstanceTable instances_{kInstanceTableCapacity};
   /// Durable snapshot + journal behind the cache; internally locked.
   /// Declared before pool_ so workers finish before it is destroyed.
   MEDCC_NOT_GUARDED std::unique_ptr<persist::DurableStore> store_;

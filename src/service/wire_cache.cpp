@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <utility>
 
 namespace medcc::service {
@@ -25,81 +24,43 @@ WireCache::WireCache(Config config)
   capacity_ = std::max<std::size_t>(1, config.capacity);
   const std::size_t shard_count =
       std::max<std::size_t>(1, std::min(config.shards, capacity_));
-  per_shard_capacity_ = (capacity_ + shard_count - 1) / shard_count;
+  const std::size_t per_shard = (capacity_ + shard_count - 1) / shard_count;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i)
-    shards_.push_back(std::make_unique<Shard>());
-}
-
-WireCache::Shard& WireCache::shard_for(std::string_view key) {
-  return *shards_[std::hash<std::string_view>{}(key) % shards_.size()];
+    shards_.push_back(std::make_unique<Shard>(per_shard));
 }
 
 std::shared_ptr<const std::string> WireCache::find(
     std::string_view request_body) {
-  Shard& shard = shard_for(request_body);
-  const std::int64_t at = now();
-  const util::MutexLock lock(shard.mutex);
-  const auto it = shard.index.find(request_body);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    return nullptr;
-  }
-  if (ttl_s_ > 0 && at - it->second->inserted_at >= ttl_s_) {
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    ++shard.expired;
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->frame;
+  const std::size_t key_hash = Shard::hash(request_body);
+  return shard_for(key_hash).find(
+      request_body, key_hash,
+      ttl_s_ > 0 ? clock_() - ttl_s_ : Shard::kNeverStale);
 }
 
-void WireCache::insert(std::string_view request_body, std::string frame) {
-  auto shared = std::make_shared<const std::string>(std::move(frame));
-  Shard& shard = shard_for(request_body);
-  const std::int64_t at = now();
-  const util::MutexLock lock(shard.mutex);
-  const auto it = shard.index.find(request_body);
-  if (it != shard.index.end()) {
-    it->second->frame = std::move(shared);
-    it->second->inserted_at = at;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{std::string(request_body), std::move(shared), at});
-  shard.index.emplace(std::string_view(shard.lru.front().key),
-                      shard.lru.begin());
-  ++shard.insertions;
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(std::string_view(shard.lru.back().key));
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+void WireCache::insert_owned(std::string request_body, std::string frame) {
+  const std::size_t key_hash = Shard::hash(request_body);
+  shard_for(key_hash).insert(
+      std::move(request_body), key_hash,
+      std::make_shared<const std::string>(std::move(frame)), clock_());
 }
 
 WireCache::Stats WireCache::stats() const {
   Stats total;
   for (const auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.insertions += shard->insertions;
-    total.evictions += shard->evictions;
-    total.expired += shard->expired;
-    total.size += shard->lru.size();
+    const Stats one = shard->stats();
+    total.hits += one.hits;
+    total.misses += one.misses;
+    total.insertions += one.insertions;
+    total.evictions += one.evictions;
+    total.expired += one.expired;
+    total.size += one.size;
   }
   return total;
 }
 
 void WireCache::clear() {
-  for (const auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    shard->index.clear();
-    shard->lru.clear();
-  }
+  for (const auto& shard : shards_) shard->clear();
 }
 
 }  // namespace medcc::service

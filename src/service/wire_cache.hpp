@@ -19,20 +19,22 @@
 // copying under the shard lock.
 //
 // Keys are opaque bytes -- the cache never parses them -- which keeps
-// this layer free of any codec dependency. Sharded and internally
-// locked like ResultCache; safe from any thread.
+// this layer free of any codec dependency. Sharded like ResultCache:
+// one ByteLru (service/byte_lru.hpp) per shard, picked by the same
+// hash the shard then looks the key up with. Safe from any thread.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "service/byte_lru.hpp"
 #include "util/mutex.hpp"
 
 namespace medcc::service {
@@ -52,14 +54,7 @@ class WireCache {
     std::function<std::int64_t()> clock{};
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t expired = 0;
-    std::size_t size = 0;
-  };
+  using Stats = ByteLruStats;
 
   WireCache();
   explicit WireCache(Config config);
@@ -73,37 +68,29 @@ class WireCache {
   /// Memoizes `frame` (an encoded template response, request id 0)
   /// under the request-body bytes, replacing any previous entry and
   /// evicting the shard's LRU tail when full.
-  void insert(std::string_view request_body, std::string frame);
+  void insert(std::string_view request_body, std::string frame) {
+    insert_owned(std::string(request_body), std::move(frame));
+  }
+  /// Same, taking ownership of an rvalue key instead of copying it.
+  template <typename Key>
+    requires std::same_as<Key, std::string>
+  void insert(Key&& request_body, std::string frame) {
+    insert_owned(std::move(request_body), std::move(frame));
+  }
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   void clear();
 
  private:
-  struct Entry {
-    std::string key;  // exact request-body bytes
-    std::shared_ptr<const std::string> frame;
-    std::int64_t inserted_at = 0;  // cache-clock seconds
-  };
-  /// LRU list front = most recent; index views point into Entry::key,
-  /// which is stable because list nodes never move.
-  struct Shard {
-    mutable util::Mutex mutex;
-    std::list<Entry> lru MEDCC_GUARDED_BY(mutex);
-    std::unordered_map<std::string_view, std::list<Entry>::iterator> index
-        MEDCC_GUARDED_BY(mutex);
-    std::uint64_t hits MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t misses MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t insertions MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t expired MEDCC_GUARDED_BY(mutex) = 0;
-  };
+  using Shard = ByteLru<std::shared_ptr<const std::string>>;
 
-  [[nodiscard]] Shard& shard_for(std::string_view key);
-  [[nodiscard]] std::int64_t now() const { return clock_(); }
+  void insert_owned(std::string request_body, std::string frame);
+  [[nodiscard]] Shard& shard_for(std::size_t key_hash) {
+    return *shards_[key_hash % shards_.size()];
+  }
 
   std::size_t capacity_ = 0;
-  std::size_t per_shard_capacity_ = 0;
   std::int64_t ttl_s_ = 0;
   std::function<std::int64_t()> clock_;
   /// Sized in the constructor, then structurally immutable (each shard

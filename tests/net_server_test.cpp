@@ -29,12 +29,15 @@
 #include <utility>
 #include <vector>
 
+#include "expr/instance_gen.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
+#include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
 #include "sched/instance.hpp"
 #include "sched/solver_registry.hpp"
 #include "service/service.hpp"
+#include "util/prng.hpp"
 #include "util/socket.hpp"
 #include "workflow/patterns.hpp"
 
@@ -139,6 +142,57 @@ TEST(NetServer, SolveOverLoopbackByteIdenticalToInProcess) {
   remote_norm.solve_ms = local_norm.solve_ms = 0.0;
   EXPECT_EQ(medcc::net::encode_solve_response(remote_norm, 1),
             medcc::net::encode_solve_response(local_norm, 1));
+}
+
+/// The value of one "name value" line of a text stats dump; -1 if absent.
+long long text_metric(const std::string& dump, const std::string& name) {
+  std::istringstream lines(dump);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.rfind(name + " ", 0) == 0)
+      return std::stoll(line.substr(name.size() + 1));
+  return -1;
+}
+
+// The paper's evaluation protocol served over the wire: one instance at
+// all 20 budget levels under cg and gain3. The instance is decoded once
+// and interned; the other 39 requests reuse it, and every answer still
+// equals an in-process solve of a request that carries no table entry.
+TEST(NetServer, ServedBudgetSweepDecodesTheInstanceOnce) {
+  SchedulingService service({.threads = 2});
+  Server server(service);
+  Client client(client_for(server));
+  SchedulingService local({.threads = 1});
+
+  medcc::util::Prng rng(2013);
+  const auto inst = std::make_shared<const Instance>(
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[3], rng));
+  const auto budgets = medcc::sched::budget_levels(
+      medcc::sched::cost_bounds(*inst), 20);
+  ASSERT_EQ(budgets.size(), 20u);
+  for (const std::string solver : {"cg", "gain3"}) {
+    for (const double budget : budgets) {
+      SCOPED_TRACE(solver + " B=" + std::to_string(budget));
+      const SchedulingResponse remote =
+          client.solve(request_for(inst, budget, solver));
+      const SchedulingRequest in_process_request =
+          request_for(inst, budget, solver);
+      ASSERT_EQ(in_process_request.interned, nullptr);
+      const SchedulingResponse in_process =
+          local.submit(in_process_request).get();
+      ASSERT_TRUE(remote.ok()) << remote.error;
+      ASSERT_TRUE(in_process.ok()) << in_process.error;
+      EXPECT_EQ(remote.cache, in_process.cache);
+      EXPECT_EQ(remote.result.schedule, in_process.result.schedule);
+      EXPECT_EQ(remote.result.iterations, in_process.result.iterations);
+      expect_bits_equal(remote.result.eval.med, in_process.result.eval.med);
+      expect_bits_equal(remote.result.eval.cost, in_process.result.eval.cost);
+    }
+  }
+  const std::string stats = client.stats();
+  EXPECT_EQ(text_metric(stats, "instance_intern_misses"), 1);
+  EXPECT_EQ(text_metric(stats, "instance_intern_hits"), 39);
+  EXPECT_EQ(service.instance_table().stats().size, 1u);
 }
 
 TEST(NetServer, CacheAndRejectionTaxonomyCrossTheWire) {

@@ -1,10 +1,24 @@
 // Canonical-fingerprint invariants: permuted duplicates hash equal, any
 // semantic field change hashes different, and the per-module labels
 // support schedule re-mapping between permuted twins.
+//
+// A golden file (tests/golden/fingerprints.txt) pins every key bit for
+// bit over the Table IV sizes, the workflow patterns and the paper's
+// example, so a refactor of the hashing cannot silently re-key every
+// cache. Regenerate only for an intentional key change:
+//   MEDCC_UPDATE_GOLDEN=1 ./service_fingerprint_test
 #include "service/fingerprint.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iomanip>
+#include <iterator>
+#include <sstream>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -12,6 +26,8 @@
 #include "cloud/billing.hpp"
 #include "cloud/cost_model.hpp"
 #include "cloud/vm_type.hpp"
+#include "expr/instance_gen.hpp"
+#include "sched/bounds.hpp"
 #include "sched/instance.hpp"
 #include "util/prng.hpp"
 #include "workflow/patterns.hpp"
@@ -268,6 +284,155 @@ TEST(Fingerprint, LargerPatternPermutationProperty) {
   const auto b = Instance::from_model(std::move(reversed), catalog_forward());
   EXPECT_EQ(fp(a).canonical, fp(b).canonical);
   EXPECT_NE(fp(a).exact, fp(b).exact);
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints.
+
+struct NamedInstance {
+  std::string name;
+  Instance inst;
+};
+
+std::vector<NamedInstance> golden_instances() {
+  std::vector<NamedInstance> out;
+  out.push_back({"example6",
+                 Instance::from_model(medcc::workflow::example6(),
+                                      medcc::cloud::example_catalog())});
+  const auto& sizes = medcc::expr::table4_sizes();
+  for (std::size_t k = 0; k < sizes.size(); ++k) {
+    medcc::util::Prng rng(1000 + k);
+    out.push_back({"t4s" + std::to_string(k + 1),
+                   medcc::expr::make_instance(sizes[k], rng)});
+  }
+  medcc::util::Prng rng(31);
+  std::vector<std::pair<std::string, Workflow>> shapes;
+  shapes.emplace_back("montage", medcc::workflow::montage_like(4, rng));
+  shapes.emplace_back("epigenomics",
+                      medcc::workflow::epigenomics_like(2, 3, rng));
+  shapes.emplace_back("cybershake", medcc::workflow::cybershake_like(5, rng));
+  shapes.emplace_back("ligo", medcc::workflow::ligo_like(2, 3, rng));
+  shapes.emplace_back("sipht", medcc::workflow::sipht_like(5, rng));
+  for (auto& [name, wf] : shapes) {
+    auto catalog =
+        medcc::cloud::random_linear_catalog(4, 12, rng, 1.0, 1.0, 0.25);
+    out.push_back(
+        {name, Instance::from_model(std::move(wf), std::move(catalog))});
+  }
+  return out;
+}
+
+std::string hex(std::uint64_t value) {
+  std::ostringstream os;
+  os << std::hex << std::setw(16) << std::setfill('0') << value;
+  return os.str();
+}
+
+/// Order-dependent digest of a label vector (FNV-1a over the words).
+std::uint64_t digest(const std::vector<std::uint64_t>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t v : values) {
+    h ^= v;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string golden_row(const FingerprintDetail& d) {
+  return "hi=" + hex(d.canonical.hi) + " lo=" + hex(d.canonical.lo) +
+         " exact=" + hex(d.exact) +
+         " md=" + std::to_string(d.modules_distinct ? 1 : 0) +
+         " td=" + std::to_string(d.types_distinct ? 1 : 0) +
+         " mh=" + hex(digest(d.module_hash)) +
+         " th=" + hex(digest(d.type_hash));
+}
+
+/// Calls `row(label, instance, budget, solver, config)` once per golden
+/// row: every input at 3 budget levels x {cg, gain3} x config {"", "x"}.
+template <typename Row>
+void for_each_golden_row(Row&& row) {
+  for (const auto& named : golden_instances()) {
+    const auto budgets = medcc::sched::budget_levels(
+        medcc::sched::cost_bounds(named.inst), 3);
+    for (std::size_t b = 0; b < budgets.size(); ++b)
+      for (const std::string_view solver : {"cg", "gain3"})
+        for (const std::string_view config : {"", "x"})
+          row(named.name + " B" + std::to_string(b + 1) + " " +
+                  std::string(solver) + " cfg=" + std::string(config),
+              named.inst, budgets[b], solver, config);
+  }
+}
+
+std::filesystem::path golden_path() {
+  return std::filesystem::path(__FILE__).parent_path() / "golden" /
+         "fingerprints.txt";
+}
+
+TEST(FingerprintGolden, KeysMatchGoldenFile) {
+  std::ostringstream out;
+  for_each_golden_row([&](const std::string& label, const Instance& inst,
+                          double budget, std::string_view solver,
+                          std::string_view config) {
+    out << label << ": "
+        << golden_row(fingerprint_instance(inst, budget, solver, config))
+        << '\n';
+  });
+  const std::string actual = out.str();
+
+  if (std::getenv("MEDCC_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream file(golden_path(), std::ios::binary);
+    file << actual;
+    ASSERT_TRUE(file.good()) << "failed to write " << golden_path();
+    GTEST_SKIP() << "golden regenerated at " << golden_path();
+  }
+
+  std::ifstream in(golden_path(), std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path()
+                         << " (run with MEDCC_UPDATE_GOLDEN=1 to create)";
+  std::istringstream expected_lines(
+      std::string(std::istreambuf_iterator<char>(in), {}));
+  std::istringstream actual_lines(actual);
+  std::string e_line;
+  std::string a_line;
+  for (int n = 1;; ++n) {
+    const bool e_more = static_cast<bool>(std::getline(expected_lines, e_line));
+    const bool a_more = static_cast<bool>(std::getline(actual_lines, a_line));
+    if (!e_more && !a_more) break;
+    ASSERT_TRUE(e_more && a_more && e_line == a_line)
+        << "fingerprint diverges from golden at line " << n
+        << "\n  expected: " << (e_more ? e_line : std::string("<eof>"))
+        << "\n  actual:   " << (a_more ? a_line : std::string("<eof>"));
+  }
+}
+
+TEST(FingerprintGolden, PrintOnceFinishPerRequestMatchesOneShot) {
+  // One print per instance, finished for every (budget, solver, config)
+  // row, must equal the one-shot fingerprint field for field.
+  const Instance* printed = nullptr;
+  medcc::service::InstancePrint print;
+  int rows = 0;
+  for_each_golden_row([&](const std::string& label, const Instance& inst,
+                          double budget, std::string_view solver,
+                          std::string_view config) {
+    SCOPED_TRACE(label);
+    if (printed != &inst) {
+      print = medcc::service::print_instance(inst);
+      printed = &inst;
+    }
+    const FingerprintDetail split =
+        medcc::service::finish_fingerprint(print, budget, solver, config);
+    const FingerprintDetail one_shot =
+        fingerprint_instance(inst, budget, solver, config);
+    EXPECT_EQ(split.canonical, one_shot.canonical);
+    EXPECT_EQ(split.exact, one_shot.exact);
+    EXPECT_EQ(split.module_hash, one_shot.module_hash);
+    EXPECT_EQ(split.type_hash, one_shot.type_hash);
+    EXPECT_EQ(split.modules_distinct, one_shot.modules_distinct);
+    EXPECT_EQ(split.types_distinct, one_shot.types_distinct);
+    EXPECT_EQ(split.solver, one_shot.solver);
+    ++rows;
+  });
+  EXPECT_EQ(rows, 26 * 12);
 }
 
 }  // namespace

@@ -119,8 +119,8 @@ void drive(MetricsRegistry& metrics) {
   metrics.queue_entered();
   metrics.queue_left();
 
-  // Transport rows: 126, 127, ... in table order, and the open
-  // connections gauge lowered by 2 so sub() shows too.
+  // Transport and instance-table rows: 126, 127, ... in table order,
+  // and the open connections gauge lowered by 2 so sub() shows too.
   for (auto i = static_cast<std::size_t>(Counter::connections_accepted);
        i < kCounters; ++i)
     metrics.add(static_cast<Counter>(i), 100 + i);

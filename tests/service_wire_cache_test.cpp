@@ -41,6 +41,22 @@ TEST(WireCache, InsertReplacesExistingEntry) {
   EXPECT_EQ(cache.stats().size, 1u);
 }
 
+TEST(WireCache, InsertTakesAnOwnedKeyOrCopiesABorrowedOne) {
+  WireCache cache;
+  std::string owned = "owned-key";
+  cache.insert(std::move(owned), "frame-1");
+  const std::string borrowed = "borrowed-key";
+  cache.insert(borrowed, "frame-2");
+  EXPECT_EQ(borrowed, "borrowed-key");
+  const auto first = cache.find("owned-key");
+  const auto second = cache.find(borrowed);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(*first, "frame-1");
+  EXPECT_EQ(*second, "frame-2");
+  EXPECT_EQ(cache.stats().insertions, 2u);
+}
+
 TEST(WireCache, ServedFrameSurvivesEviction) {
   WireCache::Config config;
   config.capacity = 1;
