@@ -268,99 +268,6 @@ Diagnostics verify_schedule(const sched::Instance& inst,
   return diag;
 }
 
-Diagnostics verify_placement(const sched::Instance& inst,
-                             const std::vector<cloud::VmType>& machines,
-                             const std::vector<sched::HeftPlacement>& placement,
-                             double makespan, const VerifyOptions& options) {
-  Diagnostics diag = verify_workflow(inst.workflow());
-  if (!diag.ok()) return diag;
-
-  const std::size_t m = inst.module_count();
-  const auto& wf = inst.workflow();
-  const double rel = options.rel_tol;
-
-  if (placement.size() != m) {
-    std::ostringstream os;
-    os << "placement covers " << placement.size() << " modules, instance has "
-       << m;
-    diag.error("placement-size", os.str());
-    return diag;
-  }
-
-  bool indexable = true;
-  for (NodeId i = 0; i < m; ++i) {
-    if (placement[i].machine >= machines.size()) {
-      std::ostringstream os;
-      os << "module " << wf.module(i).name << " placed on machine "
-         << placement[i].machine << ", pool has " << machines.size();
-      diag.error("dangling-machine", os.str());
-      indexable = false;
-    }
-  }
-  if (!indexable) return diag;
-
-  double latest = 0.0;
-  for (NodeId i = 0; i < m; ++i) {
-    const auto& mod = wf.module(i);
-    const auto& p = placement[i];
-    const double duration =
-        mod.is_fixed()
-            ? *mod.fixed_time
-            : cloud::execution_time(mod.workload, machines[p.machine]);
-    if (!close(rel, p.finish, p.start + duration)) {
-      std::ostringstream os;
-      os << "module " << mod.name << ": finish " << fmt(p.finish)
-         << " != start + machine duration " << fmt(p.start + duration);
-      diag.error("duration-mismatch", os.str());
-    }
-    latest = std::max(latest, p.finish);
-  }
-
-  const auto& g = wf.graph();
-  for (dag::EdgeId e = 0; e < g.edge_count(); ++e) {
-    const auto& edge = g.edge(e);
-    const double ready = placement[edge.src].finish + inst.edge_time(e);
-    if (placement[edge.dst].start <
-        ready - tol(rel, ready, placement[edge.dst].start)) {
-      std::ostringstream os;
-      os << "module " << wf.module(edge.dst).name << " starts at "
-         << fmt(placement[edge.dst].start) << " before predecessor "
-         << wf.module(edge.src).name << " delivers at " << fmt(ready);
-      diag.error("precedence-violation", os.str());
-    }
-  }
-
-  // Exclusivity per machine; fixed modules model input/output staging and
-  // do not occupy machine time.
-  std::vector<std::vector<NodeId>> on_machine(machines.size());
-  for (NodeId i = 0; i < m; ++i)
-    if (!wf.module(i).is_fixed()) on_machine[placement[i].machine].push_back(i);
-  for (std::size_t mach = 0; mach < on_machine.size(); ++mach) {
-    auto& mods = on_machine[mach];
-    std::sort(mods.begin(), mods.end(), [&](NodeId a, NodeId b) {
-      return placement[a].start < placement[b].start;
-    });
-    for (std::size_t k = 1; k < mods.size(); ++k) {
-      const auto& prev = placement[mods[k - 1]];
-      const auto& cur = placement[mods[k]];
-      if (cur.start < prev.finish - tol(rel, prev.finish, cur.start)) {
-        std::ostringstream os;
-        os << "machine " << mach << ": modules "
-           << wf.module(mods[k - 1]).name << " and " << wf.module(mods[k]).name
-           << " overlap ([" << fmt(prev.start) << ", " << fmt(prev.finish)
-           << ") vs [" << fmt(cur.start) << ", " << fmt(cur.finish) << "))";
-        diag.error("machine-overlap", os.str());
-      }
-    }
-  }
-
-  if (!close(rel, makespan, latest)) {
-    diag.error("makespan-mismatch", "reported makespan " + fmt(makespan) +
-                                        " != latest finish " + fmt(latest));
-  }
-  return diag;
-}
-
 Diagnostics verify_reuse_plan(const sched::Instance& inst,
                               const sched::Schedule& schedule,
                               const sched::ReusePlan& plan,

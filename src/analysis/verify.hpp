@@ -1,6 +1,5 @@
 // Machine-checked feasibility: independent re-derivation of the paper's
-// invariants for workflows, schedules, machine placements, and VM-reuse
-// plans.
+// invariants for workflows, schedules and VM-reuse plans.
 //
 // The verifiers deliberately do NOT call the code under test:
 // verify_schedule() re-derives every module cost from the billing policy
@@ -18,19 +17,13 @@
 //                     timing-size, timing-inconsistent,
 //                     precedence-violation, makespan-mismatch,
 //                     budget-slack (info)
-//   verify_placement: placement-size, dangling-machine,
-//                     precedence-violation, machine-overlap,
-//                     makespan-mismatch, duration-mismatch
 //   verify_reuse_plan: reuse-index, reuse-type-mismatch, reuse-overlap,
 //                     reuse-span, reuse-cost-mismatch
 #pragma once
 
 #include <limits>
-#include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "cloud/vm_type.hpp"
-#include "sched/heft.hpp"
 #include "sched/instance.hpp"
 #include "sched/schedule.hpp"
 #include "sched/vm_reuse.hpp"
@@ -63,15 +56,6 @@ struct VerifyOptions {
                                           const sched::Schedule& schedule,
                                           const sched::Evaluation& reported,
                                           const VerifyOptions& options = {});
-
-/// Feasibility of a bounded-pool placement (HEFT/HBMCT): every module on
-/// a valid machine, start/finish consistent with the machine's speed,
-/// precedence respected, no two modules overlapping on one machine, and
-/// the reported makespan equal to the latest finish.
-[[nodiscard]] Diagnostics verify_placement(
-    const sched::Instance& inst, const std::vector<cloud::VmType>& machines,
-    const std::vector<sched::HeftPlacement>& placement, double makespan,
-    const VerifyOptions& options = {});
 
 /// Consistency of a VM-reuse plan with its schedule: instance_of indices
 /// valid and type-consistent, no overlapping executions sharing one VM,

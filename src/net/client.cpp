@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -19,6 +20,78 @@
 #include "util/bytes.hpp"
 
 namespace medcc::net {
+
+namespace {
+
+using AddrList = std::unique_ptr<addrinfo, decltype(&::freeaddrinfo)>;
+
+/// The IPv4 TCP addresses of host:port. `who` prefixes the NetError
+/// thrown when the name does not resolve.
+AddrList resolve(const std::string& host, const std::string& port,
+                 const char* who) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = AI_NUMERICSERV;
+  addrinfo* found = nullptr;
+  const int rc = ::getaddrinfo(host.c_str(), port.c_str(), &hints, &found);
+  if (rc != 0 || found == nullptr)
+    throw NetError(std::string(who) + ": cannot resolve " + host + ": " +
+                   ::gai_strerror(rc));
+  return AddrList(found, &::freeaddrinfo);
+}
+
+/// One connect attempt to each address in turn. Returns the first
+/// established socket (TCP_NODELAY set), or an empty handle with the last
+/// failure's cause in `error`. `timeout_ms` <= 0 waits without bound.
+util::FdHandle connect_any(const addrinfo* addrs, double timeout_ms,
+                           std::string& error) {
+  for (const addrinfo* ai = addrs; ai != nullptr; ai = ai->ai_next) {
+    // Non-blocking from the start so the timeout bounds establishment
+    // too, mirroring the send/recv deadline handling.
+    util::FdHandle fd(::socket(
+        ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC | SOCK_NONBLOCK,
+        ai->ai_protocol));
+    if (!fd) {
+      error = std::strerror(errno);
+      continue;
+    }
+    if (::connect(fd.get(), ai->ai_addr, ai->ai_addrlen) != 0) {
+      // EINTR also means the handshake continues asynchronously.
+      if (errno != EINPROGRESS && errno != EINTR) {
+        error = std::strerror(errno);
+        continue;
+      }
+      const auto wait =
+          util::wait_writable(fd.get(), timeout_ms > 0.0 ? timeout_ms : -1.0);
+      if (wait == util::WaitResult::timeout) {
+        error = "connect timed out";
+        continue;
+      }
+      // A refused/unreachable connect surfaces as POLLERR (WaitResult::
+      // error); SO_ERROR carries the real cause either way.
+      int soerr = 0;
+      socklen_t len = sizeof(soerr);
+      if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0) {
+        error = std::strerror(errno);
+        continue;
+      }
+      if (soerr != 0) {
+        error = std::strerror(soerr);
+        continue;
+      }
+      if (wait == util::WaitResult::error) {
+        error = "poll failed while connecting";
+        continue;
+      }
+    }
+    util::set_tcp_nodelay(fd.get());
+    return fd;
+  }
+  return {};
+}
+
+}  // namespace
 
 /// Absolute steady-clock deadline; unbounded when the config timeout is 0.
 struct Client::Deadline {
@@ -62,18 +135,8 @@ void Client::close() {
 void Client::connect() {
   if (connected()) return;
 
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
   const std::string port = std::to_string(config_.port);
-  addrinfo* found = nullptr;
-  const int rc = ::getaddrinfo(config_.host.c_str(), port.c_str(), &hints,
-                               &found);
-  if (rc != 0 || found == nullptr)
-    throw NetError("client: cannot resolve " + config_.host + ": " +
-                   ::gai_strerror(rc));
-
+  const auto addrs = resolve(config_.host, port, "client");
   util::Backoff backoff(config_.backoff_initial_ms, config_.backoff_cap_ms);
   std::string last_error = "no attempts made";
   const std::size_t attempts = std::max<std::size_t>(1, config_.connect_attempts);
@@ -81,54 +144,9 @@ void Client::connect() {
     if (attempt > 0)
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           backoff.next_ms()));
-    for (const addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
-      // Non-blocking from the start so connect_timeout_ms bounds
-      // establishment too, mirroring the send/recv deadline handling.
-      util::FdHandle fd(::socket(
-          ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC | SOCK_NONBLOCK,
-          ai->ai_protocol));
-      if (!fd) {
-        last_error = std::strerror(errno);
-        continue;
-      }
-      if (::connect(fd.get(), ai->ai_addr, ai->ai_addrlen) != 0) {
-        // EINTR also means the handshake continues asynchronously.
-        if (errno != EINPROGRESS && errno != EINTR) {
-          last_error = std::strerror(errno);
-          continue;
-        }
-        const double wait_ms =
-            config_.connect_timeout_ms > 0.0 ? config_.connect_timeout_ms
-                                             : -1.0;
-        const auto wait = util::wait_writable(fd.get(), wait_ms);
-        if (wait == util::WaitResult::timeout) {
-          last_error = "connect timed out";
-          continue;
-        }
-        // A refused/unreachable connect surfaces as POLLERR (WaitResult::
-        // error); SO_ERROR carries the real cause either way.
-        int soerr = 0;
-        socklen_t len = sizeof(soerr);
-        if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0) {
-          last_error = std::strerror(errno);
-          continue;
-        }
-        if (soerr != 0) {
-          last_error = std::strerror(soerr);
-          continue;
-        }
-        if (wait == util::WaitResult::error) {
-          last_error = "poll failed while connecting";
-          continue;
-        }
-      }
-      util::set_tcp_nodelay(fd.get());
-      fd_ = std::move(fd);
-      ::freeaddrinfo(found);
-      return;
-    }
+    fd_ = connect_any(addrs.get(), config_.connect_timeout_ms, last_error);
+    if (fd_) return;
   }
-  ::freeaddrinfo(found);
   throw NetError("client: connect to " + config_.host + ":" + port +
                  " failed after " + std::to_string(attempts) +
                  " attempts: " + last_error);
@@ -310,51 +328,14 @@ namespace {
 /// retry: a bench against a dead server should fail fast).
 util::FdHandle multi_connect(const std::string& host, std::uint16_t port,
                              double timeout_ms) {
-  addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
   const std::string service = std::to_string(port);
-  addrinfo* found = nullptr;
-  const int rc = ::getaddrinfo(host.c_str(), service.c_str(), &hints, &found);
-  if (rc != 0 || found == nullptr)
-    throw NetError("multi-client: cannot resolve " + host + ": " +
-                   ::gai_strerror(rc));
+  const auto addrs = resolve(host, service, "multi-client");
   std::string last_error = "no usable address";
-  for (const addrinfo* ai = found; ai != nullptr; ai = ai->ai_next) {
-    util::FdHandle fd(::socket(
-        ai->ai_family, ai->ai_socktype | SOCK_CLOEXEC | SOCK_NONBLOCK,
-        ai->ai_protocol));
-    if (!fd) {
-      last_error = std::strerror(errno);
-      continue;
-    }
-    if (::connect(fd.get(), ai->ai_addr, ai->ai_addrlen) != 0) {
-      if (errno != EINPROGRESS && errno != EINTR) {
-        last_error = std::strerror(errno);
-        continue;
-      }
-      const auto wait = util::wait_writable(
-          fd.get(), timeout_ms > 0.0 ? timeout_ms : -1.0);
-      if (wait == util::WaitResult::timeout) {
-        last_error = "connect timed out";
-        continue;
-      }
-      int soerr = 0;
-      socklen_t len = sizeof(soerr);
-      if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &soerr, &len) != 0 ||
-          soerr != 0) {
-        last_error = std::strerror(soerr != 0 ? soerr : errno);
-        continue;
-      }
-    }
-    util::set_tcp_nodelay(fd.get());
-    ::freeaddrinfo(found);
-    return fd;
-  }
-  ::freeaddrinfo(found);
-  throw NetError("multi-client: connect to " + host + ":" + service +
-                 " failed: " + last_error);
+  auto fd = connect_any(addrs.get(), timeout_ms, last_error);
+  if (!fd)
+    throw NetError("multi-client: connect to " + host + ":" + service +
+                   " failed: " + last_error);
+  return fd;
 }
 
 /// Patches the 17-byte trace context at the start of the body of the

@@ -13,17 +13,6 @@ const SolverRegistry& SolverRegistry::built_in() {
     r.register_solver("cg", [](const Instance& inst, double budget) {
       return critical_greedy(inst, budget);
     });
-    r.register_solver("cg-all-modules",
-                      [](const Instance& inst, double budget) {
-                        CriticalGreedyOptions options;
-                        options.all_modules = true;
-                        return critical_greedy(inst, budget, options);
-                      });
-    r.register_solver("cg-ratio", [](const Instance& inst, double budget) {
-      CriticalGreedyOptions options;
-      options.ratio_criterion = true;
-      return critical_greedy(inst, budget, options);
-    });
     for (const auto variant :
          {GainLossVariant::V1, GainLossVariant::V2, GainLossVariant::V3}) {
       const auto suffix = static_cast<int>(variant);
@@ -36,9 +25,6 @@ const SolverRegistry& SolverRegistry::built_in() {
                           return loss(inst, budget, variant);
                         });
     }
-    r.register_solver("gain-all", [](const Instance& inst, double budget) {
-      return gain(inst, budget, GainLossVariant::V3, GainMoveSet::AllPairs);
-    });
     r.register_solver("genetic", [](const Instance& inst, double budget) {
       return genetic(inst, budget);
     });

@@ -4,9 +4,9 @@
 // one string id, so callers that receive the solver choice as data -- the
 // scheduling service, the CLI, config files -- need no compile-time
 // knowledge of the individual algorithm headers. The built-in table covers
-// Critical-Greedy and its ablation variants, the GAIN/LOSS families, and
-// the two metaheuristics; all entries are deterministic (the GA and the
-// annealer run with their default fixed seeds).
+// Critical-Greedy, the GAIN/LOSS families, and the two metaheuristics; all
+// entries are deterministic (the GA and the annealer run with their
+// default fixed seeds).
 #pragma once
 
 #include <functional>
@@ -26,8 +26,7 @@ using SolverFn = std::function<Result(const Instance&, double budget)>;
 class SolverRegistry {
 public:
   /// The immutable process-wide registry of built-in solvers:
-  ///   cg, cg-all-modules, cg-ratio, gain1, gain2, gain3, gain-all,
-  ///   loss1, loss2, loss3, genetic, annealing.
+  ///   annealing, cg, gain1, gain2, gain3, genetic, loss1, loss2, loss3.
   [[nodiscard]] static const SolverRegistry& built_in();
 
   /// The solver registered under `name`, or nullptr.

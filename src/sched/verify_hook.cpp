@@ -18,14 +18,6 @@ void check_schedule_invariants(const Instance& inst, const Schedule& schedule,
       .throw_if_errors(scheduler);
 }
 
-void check_placement_invariants(const Instance& inst,
-                                const std::vector<cloud::VmType>& machines,
-                                const std::vector<HeftPlacement>& placement,
-                                double makespan, const char* scheduler) {
-  analysis::verify_placement(inst, machines, placement, makespan)
-      .throw_if_errors(scheduler);
-}
-
 void check_reuse_invariants(const Instance& inst, const Schedule& schedule,
                             const ReusePlan& plan, const char* scheduler) {
   analysis::verify_reuse_plan(inst, schedule, plan)
@@ -37,11 +29,6 @@ void check_reuse_invariants(const Instance& inst, const Schedule& schedule,
 void check_schedule_invariants(const Instance&, const Schedule&,
                                const Evaluation&, double, double,
                                const char*) {}
-
-void check_placement_invariants(const Instance&,
-                                const std::vector<cloud::VmType>&,
-                                const std::vector<HeftPlacement>&, double,
-                                const char*) {}
 
 void check_reuse_invariants(const Instance&, const Schedule&,
                             const ReusePlan&, const char*) {}

@@ -10,10 +10,7 @@
 #pragma once
 
 #include <limits>
-#include <vector>
 
-#include "cloud/vm_type.hpp"
-#include "sched/heft.hpp"
 #include "sched/schedule.hpp"
 #include "sched/vm_reuse.hpp"
 
@@ -30,12 +27,6 @@ inline constexpr double kUnconstrained =
 void check_schedule_invariants(const Instance& inst, const Schedule& schedule,
                                const Evaluation& eval, double budget,
                                double deadline, const char* scheduler);
-
-/// Verifies a bounded-pool placement (HEFT/HBMCT).
-void check_placement_invariants(const Instance& inst,
-                                const std::vector<cloud::VmType>& machines,
-                                const std::vector<HeftPlacement>& placement,
-                                double makespan, const char* scheduler);
 
 /// Verifies a VM-reuse plan against its schedule.
 void check_reuse_invariants(const Instance& inst, const Schedule& schedule,

@@ -45,7 +45,6 @@ SchedulingService::SchedulingService(ServiceConfig config)
   if (config_.cache_capacity > 0) {
     ResultCache::Config cache_config;
     cache_config.capacity = config_.cache_capacity;
-    cache_config.shards = std::max<std::size_t>(1, config_.cache_shards);
     cache_config.ttl_s = config_.cache_ttl_s;
     cache_config.clock = config_.cache_clock;
     cache_config.on_expired = [this](std::size_t n) {
@@ -55,7 +54,6 @@ SchedulingService::SchedulingService(ServiceConfig config)
     if (config_.wire_cache_capacity > 0) {
       WireCache::Config wire_config;
       wire_config.capacity = config_.wire_cache_capacity;
-      wire_config.shards = std::max<std::size_t>(1, config_.cache_shards);
       wire_config.ttl_s = config_.cache_ttl_s;
       wire_config.clock = config_.cache_clock;
       wire_cache_ = std::make_unique<WireCache>(wire_config);

@@ -45,7 +45,6 @@ struct ServiceConfig {
   std::size_t queue_capacity = 256;
   /// Result-cache entries across all shards; 0 disables memoization.
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
   /// Encoded-frame memo entries for the network fast path (see
   /// service/wire_cache.hpp). Active only when the result cache is
   /// enabled -- the wire cache is a byte-level extension of it; 0

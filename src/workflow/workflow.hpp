@@ -89,7 +89,7 @@ public:
   /// Sum of all module workloads (fixed modules contribute zero).
   [[nodiscard]] double total_workload() const;
 
-  /// Names for DOT export and tables.
+  /// Module names, in id order, for tables.
   [[nodiscard]] std::vector<std::string> module_names() const;
 
 private:

@@ -2,9 +2,8 @@
 // budget-constrained family (CG, GAIN3, LOSS, genetic, annealing,
 // exhaustive, reuse-aware) through verify_schedule, the deadline family
 // (PCP, deadline_loss, exact) through verify_schedule with a deadline,
-// the bounded-pool family (HEFT, HBMCT) through verify_placement, and
-// plan_vm_reuse through verify_reuse_plan. A scheduler whose result fails
-// an invariant breaks here regardless of the MEDCC_CHECK_INVARIANTS
+// and plan_vm_reuse through verify_reuse_plan. A scheduler whose result
+// fails an invariant breaks here regardless of the MEDCC_CHECK_INVARIANTS
 // build option.
 #include <gtest/gtest.h>
 
@@ -16,8 +15,6 @@
 #include "sched/exhaustive.hpp"
 #include "sched/gain_loss.hpp"
 #include "sched/genetic.hpp"
-#include "sched/hbmct.hpp"
-#include "sched/heft.hpp"
 #include "sched/pcp.hpp"
 #include "sched/reuse_aware.hpp"
 #include "sched/vm_reuse.hpp"
@@ -26,10 +23,8 @@
 namespace {
 
 using medcc::analysis::VerifyOptions;
-using medcc::analysis::verify_placement;
 using medcc::analysis::verify_reuse_plan;
 using medcc::analysis::verify_schedule;
-using medcc::cloud::VmType;
 using medcc::sched::Instance;
 
 Instance example_instance() {
@@ -132,24 +127,6 @@ TEST(AnalysisSchedulers, MinCostUnderDeadlineExact) {
   VerifyOptions options;
   options.deadline = deadline;
   expect_clean(verify_schedule(inst, r.schedule, r.eval, options));
-}
-
-TEST(AnalysisSchedulers, Heft) {
-  const auto inst = example_instance();
-  const std::vector<VmType> pool = {VmType{"a", 5.0, 1.0},
-                                    VmType{"b", 10.0, 2.0},
-                                    VmType{"c", 20.0, 4.0}};
-  const auto r = medcc::sched::heft(inst, pool);
-  expect_clean(verify_placement(inst, pool, r.placement, r.makespan));
-}
-
-TEST(AnalysisSchedulers, Hbmct) {
-  const auto inst = example_instance();
-  const std::vector<VmType> pool = {VmType{"a", 5.0, 1.0},
-                                    VmType{"b", 10.0, 2.0},
-                                    VmType{"c", 20.0, 4.0}};
-  const auto r = medcc::sched::hbmct(inst, pool);
-  expect_clean(verify_placement(inst, pool, r.placement, r.makespan));
 }
 
 TEST(AnalysisSchedulers, VmReusePlan) {

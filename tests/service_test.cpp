@@ -652,4 +652,18 @@ TEST(Service, EverySolverInRegistryServes) {
   }
 }
 
+// The served set is the paper's solvers plus the two metaheuristics; an
+// ablation-only Critical-Greedy variant is not a wire-visible name.
+TEST(Service, ServedSolverSetIsPinned) {
+  EXPECT_EQ(medcc::sched::SolverRegistry::built_in().names(),
+            (std::vector<std::string>{"annealing", "cg", "gain1", "gain2",
+                                      "gain3", "genetic", "loss1", "loss2",
+                                      "loss3"}));
+  SchedulingService service({.threads = 1});
+  const auto response =
+      service.submit(request_for(example_instance(), 57.0, "cg-ratio")).get();
+  EXPECT_EQ(response.status, ResponseStatus::rejected);
+  EXPECT_EQ(response.reject_reason, RejectReason::unknown_solver);
+}
+
 }  // namespace
