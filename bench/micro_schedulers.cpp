@@ -8,10 +8,12 @@
 //    (dag/cpm_kernel.hpp) on a genetic-style evaluation batch, plus
 //    wall-clock solve times per scheduler (plus per-solver rows for the
 //    makespan-probing baselines: GAIN2, LOSS2, the deadline solvers and a
-//    small exhaustive search). --json writes the numbers as a
-//    machine-readable report (uploaded as a CI artifact); --smoke shrinks
-//    the workload so the binary doubles as a ctest check, and fails if the
-//    kernel is not at least 3x faster than the legacy path.
+//    small exhaustive search), plus the paper's 20-level CG + GAIN3 budget
+//    sweep solved level by level against expr::sweep_budgets (sweep20,
+//    reported only). --json writes the numbers as a machine-readable
+//    report (uploaded as a CI artifact); --smoke shrinks the workload so
+//    the binary doubles as a ctest check, and fails if the kernel is not
+//    at least 3x faster than the legacy path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cloud/vm_type.hpp"
 #include "dag/cpm_kernel.hpp"
 #include "expr/compare.hpp"
 #include "sched/annealing.hpp"
@@ -33,6 +36,7 @@
 #include "sched/genetic.hpp"
 #include "sched/pcp.hpp"
 #include "sim/executor.hpp"
+#include "workflow/patterns.hpp"
 
 namespace {
 
@@ -325,9 +329,65 @@ SolverReport time_solvers(const medcc::sched::Instance& inst, bool smoke) {
   return report;
 }
 
+/// One instance's 20-level CG + GAIN3 sweep, median of `reps`: the
+/// one-shot critical_greedy + gain3 at every level against
+/// expr::sweep_budgets, which answers every level from one CgSweep and
+/// one Gain3Sweep. Wall-clock, reported only.
+struct SweepReport {
+  std::string instance;
+  std::size_t modules = 0;
+  std::size_t types = 0;
+  std::size_t reps = 0;
+  double per_level_ms = 0.0;
+  double sweep_ms = 0.0;
+  double speedup = 0.0;
+};
+
+SweepReport time_sweep(std::string name, const medcc::sched::Instance& inst,
+                       bool smoke) {
+  SweepReport report;
+  report.instance = std::move(name);
+  report.modules = inst.module_count();
+  report.types = inst.type_count();
+  report.reps = smoke ? 3 : 9;
+  const auto budgets =
+      medcc::sched::budget_levels(medcc::sched::cost_bounds(inst), 20);
+  report.per_level_ms = median_ms(report.reps, [&] {
+    double med = 0.0;
+    for (const double budget : budgets)
+      med += medcc::sched::critical_greedy(inst, budget).eval.med +
+             medcc::sched::gain3(inst, budget).eval.med;
+    return med;
+  });
+  report.sweep_ms = median_ms(report.reps, [&] {
+    return medcc::expr::sweep_budgets(inst, 20);
+  });
+  report.speedup =
+      report.sweep_ms > 0.0 ? report.per_level_ms / report.sweep_ms : 0.0;
+  return report;
+}
+
+std::vector<SweepReport> time_sweeps(bool smoke) {
+  std::vector<SweepReport> reports;
+  medcc::util::Prng rng(20);
+  reports.push_back(time_sweep(
+      "table4_size20",
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[19], rng),
+      smoke));
+  auto wf = medcc::workflow::epigenomics_like(24, 4, rng);
+  auto catalog =
+      medcc::cloud::random_linear_catalog(6, 12, rng, 1.0, 1.0, 0.25);
+  reports.push_back(time_sweep(
+      "epigenomics_24x4",
+      medcc::sched::Instance::from_model(std::move(wf), std::move(catalog)),
+      smoke));
+  return reports;
+}
+
 void write_json(const std::string& path, bool smoke,
                 const FitnessReport& fitness, const SolverReport& solvers,
-                const ProbeReport& probes) {
+                const ProbeReport& probes,
+                const std::vector<SweepReport>& sweeps) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "FAIL: cannot write " << path << "\n";
@@ -363,7 +423,17 @@ void write_json(const std::string& path, bool smoke,
       << "    \"deadline_loss_ms\": " << probes.deadline_loss_ms << ",\n"
       << "    \"pcp_deadline_ms\": " << probes.pcp_deadline_ms << ",\n"
       << "    \"exhaustive_ms\": " << probes.exhaustive_ms << "\n"
-      << "  }\n"
+      << "  },\n"
+      << "  \"sweep20\": [\n";
+  for (std::size_t k = 0; k < sweeps.size(); ++k) {
+    const SweepReport& r = sweeps[k];
+    out << "    {\"instance\": \"" << r.instance << "\", \"modules\": "
+        << r.modules << ", \"types\": " << r.types << ", \"reps\": " << r.reps
+        << ", \"per_level_ms\": " << r.per_level_ms
+        << ", \"sweep_ms\": " << r.sweep_ms << ", \"speedup\": " << r.speedup
+        << "}" << (k + 1 < sweeps.size() ? "," : "") << "\n";
+  }
+  out << "  ]\n"
       << "}\n";
 }
 
@@ -379,6 +449,7 @@ int run_handtimed(const std::string& json_path, bool smoke) {
   const auto fitness = time_fitness_batch(inst, batch, reps);
   const auto solvers = time_solvers(inst, smoke);
   const auto probes = time_probing_solvers(smoke);
+  const auto sweeps = time_sweeps(smoke);
 
   std::cout << "fitness batch (m=" << fitness.modules
             << ", |Ew|=" << fitness.edges << ", " << fitness.batch << "x"
@@ -402,9 +473,14 @@ int run_handtimed(const std::string& json_path, bool smoke) {
             << " ms, pcp_deadline=" << probes.pcp_deadline_ms
             << " ms, exhaustive(m=" << probes.exhaustive_modules
             << ")=" << probes.exhaustive_ms << " ms\n";
+  for (const SweepReport& r : sweeps)
+    std::cout << "sweep20 " << r.instance << " (m=" << r.modules
+              << ", median of " << r.reps << "): per-level cg+gain3 "
+              << r.per_level_ms << " ms, sweep_budgets " << r.sweep_ms
+              << " ms (" << r.speedup << "x)\n";
 
   if (!json_path.empty())
-    write_json(json_path, smoke, fitness, solvers, probes);
+    write_json(json_path, smoke, fitness, solvers, probes, sweeps);
 
   if (smoke && fitness.speedup < 3.0) {
     std::cerr << "FAIL: kernel speedup " << fitness.speedup

@@ -17,13 +17,15 @@ std::vector<CompareCell> sweep_budgets(const sched::Instance& inst,
                                        std::size_t levels) {
   const auto bounds = sched::cost_bounds(inst);
   const auto budgets = sched::budget_levels(bounds, levels);
+  const sched::CgSweep cg_sweep(inst);
+  const sched::Gain3Sweep gain3_sweep(inst);
   std::vector<CompareCell> cells;
   cells.reserve(budgets.size());
   for (double budget : budgets) {
     CompareCell cell;
     cell.budget = budget;
-    const auto cg = sched::critical_greedy(inst, budget);
-    const auto g3 = sched::gain3(inst, budget);
+    const auto cg = cg_sweep.answer(budget);
+    const auto g3 = gain3_sweep.answer(budget);
     cell.med_cg = cg.eval.med;
     cell.med_gain = g3.eval.med;
     cell.cost_cg = cg.eval.cost;

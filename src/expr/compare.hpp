@@ -31,7 +31,7 @@ struct CompareCell {
 };
 
 /// CG vs GAIN3 on one instance across `levels` uniform budget levels in
-/// [Cmin, Cmax].
+/// [Cmin, Cmax], answered from one CgSweep and one Gain3Sweep.
 [[nodiscard]] std::vector<CompareCell> sweep_budgets(
     const sched::Instance& inst, std::size_t levels);
 

@@ -10,7 +10,21 @@
 //
 // Complexity: the CP recomputation is O(m + |Ew|) per round; the candidate
 // scan is O(|CP| * n).
+//
+// A budget sweep shares one trajectory (CgSweep). Record one *unbounded*
+// run: the same scan with no affordability test. A run at budget B
+// starts in the same state, and while the unbounded run's next move M is
+// affordable under B, B's candidate set is a subset that contains M, so
+// B picks M too. B's run is therefore a prefix of the unbounded
+// trajectory up to the first move B cannot afford, from where it
+// continues with its own scan. Each run tests affordability with its own
+// epsilon, eps(B) = 1e-9 * max(1, B): before every move, replayed or
+// scanned, it stops once the budget left is within eps(B), even when the
+// next move's dC is too (a near-free upgrade), and otherwise admits a
+// move with dC <= left + eps(B).
 #pragma once
+
+#include <vector>
 
 #include "sched/schedule.hpp"
 
@@ -54,5 +68,23 @@ struct CgTrace {
 [[nodiscard]] CgTrace critical_greedy_trace(
     const Instance& inst, double budget,
     const CriticalGreedyOptions& options = {});
+
+/// Critical-Greedy (default options) over a budget sweep. The constructor
+/// records the unbounded trajectory from the least-cost schedule (at most
+/// one move per module: the unbounded scan sends the module it picks
+/// straight to its fastest type); answer(B) replays its affordable
+/// prefix, then runs one CPM pass and finishes with Alg. 1's loop. answer(B) equals critical_greedy(inst, B)
+/// bit for bit at every B, including the Infeasible text below Cmin.
+class CgSweep final : public BudgetSweep {
+public:
+  explicit CgSweep(const Instance& inst);
+  [[nodiscard]] Result answer(double budget) const override;
+
+private:
+  const Instance& inst_;
+  Schedule start_;  ///< the least-cost schedule
+  double cmin_ = 0.0;
+  std::vector<CgMove> moves_;  ///< the unbounded run's moves, in order
+};
 
 }  // namespace medcc::sched

@@ -24,81 +24,97 @@ struct Move {
   double dc = 0.0;
 };
 
+[[noreturn]] void throw_below_cmin(double budget, double cmin) {
+  std::ostringstream os;
+  os << "gain: budget " << budget << " below least-cost cost " << cmin;
+  throw Infeasible(os.str());
+}
+
+/// Calls fn(j) for each candidate target type of task i at type `cur`:
+/// every other type (AllPairs), or the single type with minimum execution
+/// time, ties -> cheaper, when that is not `cur` (FastestType).
+template <typename Fn>
+void for_each_target(const Instance& inst, GainMoveSet move_set, NodeId i,
+                     std::size_t cur, Fn&& fn) {
+  if (move_set == GainMoveSet::AllPairs) {
+    for (std::size_t j = 0; j < inst.type_count(); ++j)
+      if (j != cur) fn(j);
+    return;
+  }
+  std::size_t best = cur;
+  for (std::size_t j = 0; j < inst.type_count(); ++j) {
+    if (inst.time(i, j) < inst.time(i, best) ||
+        // Exact tie-break on TE matrix entries (copied, not
+        // accumulated).
+        (inst.time(i, j) == inst.time(i, best) &&  // medcc-lint: allow(float-eq)
+         inst.cost(i, j) < inst.cost(i, best)))
+      best = j;
+  }
+  if (best != cur) fn(best);
+}
+
 }  // namespace
+
+Gain3Sweep::Gain3Sweep(const Instance& inst, GainMoveSet move_set)
+    : inst_(inst),
+      start_(least_cost_schedule(inst)),
+      cmin_(total_cost(inst, start_)) {
+  // Static weights against the least-cost schedule.
+  std::vector<Move> moves;
+  for (NodeId i : inst.workflow().computing_modules()) {
+    const std::size_t cur = start_.type_of[i];
+    for_each_target(inst, move_set, i, cur, [&](std::size_t j) {
+      const double dt = inst.time(i, cur) - inst.time(i, j);
+      const double dc = inst.cost(i, j) - inst.cost(i, cur);
+      if (dt <= 0.0) return;
+      moves.push_back(Move{i, j, dc <= 0.0 ? kInf : dt / dc, dt, dc});
+    });
+  }
+  std::stable_sort(moves.begin(), moves.end(),
+                   [](const Move& a, const Move& b) {
+                     if (a.weight != b.weight) return a.weight > b.weight;
+                     return a.dt > b.dt;
+                   });
+  order_.reserve(moves.size());
+  for (const Move& mv : moves)
+    order_.push_back(Step{mv.module, mv.type, mv.dc});
+}
+
+Result Gain3Sweep::answer(double budget) const {
+  if (budget < cmin_) throw_below_cmin(budget, cmin_);
+  Result result;
+  result.schedule = start_;
+  double current_cost = cmin_;
+  const double eps = cost_eps(budget);
+  // Each task is reassigned at most once, in descending weight order.
+  std::vector<bool> moved(inst_.module_count(), false);
+  for (const Step& step : order_) {
+    if (moved[step.module]) continue;
+    if (step.dc > budget - current_cost + eps) continue;
+    result.schedule.type_of[step.module] = step.type;
+    current_cost += step.dc;
+    moved[step.module] = true;
+    ++result.iterations;
+  }
+  result.eval = evaluate(inst_, result.schedule);
+  detail::check_schedule_invariants(inst_, result.schedule, result.eval,
+                                    budget, detail::kUnconstrained, "gain");
+  return result;
+}
 
 Result gain(const Instance& inst, double budget, GainLossVariant variant,
             GainMoveSet move_set) {
-  Result result;
-  result.schedule = least_cost_schedule(inst);
-  double current_cost = total_cost(inst, result.schedule);
-  if (budget < current_cost) {
-    std::ostringstream os;
-    os << "gain: budget " << budget << " below least-cost cost "
-       << current_cost;
-    throw Infeasible(os.str());
-  }
-  const auto computing = inst.workflow().computing_modules();
-  const double eps = cost_eps(budget);
-
-  // Candidate target types for task i given the current assignment.
-  const auto targets = [&](NodeId i,
-                           std::size_t cur) -> std::vector<std::size_t> {
-    if (move_set == GainMoveSet::AllPairs) {
-      std::vector<std::size_t> all;
-      for (std::size_t j = 0; j < inst.type_count(); ++j)
-        if (j != cur) all.push_back(j);
-      return all;
-    }
-    // FastestType: the single type with minimum execution time for i
-    // (ties -> cheaper).
-    std::size_t best = cur;
-    for (std::size_t j = 0; j < inst.type_count(); ++j) {
-      if (inst.time(i, j) < inst.time(i, best) ||
-          // Exact tie-break on TE matrix entries (copied, not
-          // accumulated).
-          (inst.time(i, j) == inst.time(i, best) &&  // medcc-lint: allow(float-eq)
-           inst.cost(i, j) < inst.cost(i, best)))
-        best = j;
-    }
-    if (best == cur) return {};
-    return {best};
-  };
-
-  if (variant == GainLossVariant::V3) {
-    // Static weights against the initial least-cost schedule; each task is
-    // reassigned at most once, in descending weight order.
-    std::vector<Move> moves;
-    for (NodeId i : computing) {
-      const std::size_t cur = result.schedule.type_of[i];
-      for (std::size_t j : targets(i, cur)) {
-        const double dt = inst.time(i, cur) - inst.time(i, j);
-        const double dc = inst.cost(i, j) - inst.cost(i, cur);
-        if (dt <= 0.0) continue;
-        moves.push_back(Move{i, j, dc <= 0.0 ? kInf : dt / dc, dt, dc});
-      }
-    }
-    std::stable_sort(moves.begin(), moves.end(),
-                     [](const Move& a, const Move& b) {
-                       if (a.weight != b.weight) return a.weight > b.weight;
-                       return a.dt > b.dt;
-                     });
-    std::vector<bool> moved(inst.module_count(), false);
-    for (const Move& mv : moves) {
-      if (moved[mv.module]) continue;
-      if (mv.dc > budget - current_cost + eps) continue;
-      result.schedule.type_of[mv.module] = mv.type;
-      current_cost += mv.dc;
-      moved[mv.module] = true;
-      ++result.iterations;
-    }
-    result.eval = evaluate(inst, result.schedule);
-    detail::check_schedule_invariants(inst, result.schedule, result.eval,
-                                      budget, detail::kUnconstrained, "gain");
-    return result;
-  }
+  if (variant == GainLossVariant::V3)
+    return Gain3Sweep(inst, move_set).answer(budget);
 
   // Variants 1 and 2: fully dynamic greedy. V2 probes each candidate's
   // makespan with ws.weights holding the current schedule's durations.
+  Result result;
+  result.schedule = least_cost_schedule(inst);
+  double current_cost = total_cost(inst, result.schedule);
+  if (budget < current_cost) throw_below_cmin(budget, current_cost);
+  const auto computing = inst.workflow().computing_modules();
+  const double eps = cost_eps(budget);
   const dag::FlatDag& flat = inst.flat_dag();
   dag::CpmWorkspace ws;
   dag::makespan_into(flat, durations(inst, result.schedule), ws);
@@ -112,9 +128,9 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
     Move best;
     for (NodeId i : computing) {
       const std::size_t cur = result.schedule.type_of[i];
-      for (std::size_t j : targets(i, cur)) {
+      for_each_target(inst, move_set, i, cur, [&](std::size_t j) {
         const double dc = inst.cost(i, j) - inst.cost(i, cur);
-        if (dc > left + eps) continue;
+        if (dc > left + eps) return;
         double dt;
         if (variant == GainLossVariant::V2) {
           ws.weights[i] = inst.time(i, j);
@@ -123,14 +139,14 @@ Result gain(const Instance& inst, double budget, GainLossVariant variant,
         } else {
           dt = inst.time(i, cur) - inst.time(i, j);
         }
-        if (dt <= 0.0) continue;
+        if (dt <= 0.0) return;
         const double w = dc <= 0.0 ? kInf : dt / dc;
         if (!found || w > best.weight ||
             (w == best.weight && dt > best.dt)) {
           found = true;
           best = Move{i, j, w, dt, dc};
         }
-      }
+      });
     }
     if (!found) break;
     result.schedule.type_of[best.module] = best.type;

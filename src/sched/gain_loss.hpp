@@ -22,7 +22,14 @@
 //        cause (global effect), recomputed after every reassignment;
 //   3 -- weights from task differences computed ONCE against the initial
 //        schedule; tasks are then visited in static weight order.
+//
+// Variant 3's sorted move list does not depend on the budget, so a budget
+// sweep builds it once (Gain3Sweep) and walks it per budget. Each walk
+// uses its own budget's epsilon, eps(B) = 1e-9 * max(1, B): a move is
+// taken when dC <= B - cost + eps(B).
 #pragma once
+
+#include <vector>
 
 #include "sched/schedule.hpp"
 
@@ -51,6 +58,28 @@ enum class GainMoveSet {
 [[nodiscard]] inline Result gain3(const Instance& inst, double budget) {
   return gain(inst, budget, GainLossVariant::V3, GainMoveSet::FastestType);
 }
+
+/// GAIN variant 3 over a budget sweep: the constructor builds and sorts
+/// the static move list against the least-cost schedule; answer(B) walks
+/// it, reassigning each task at most once. gain(inst, B, V3, move_set)
+/// is Gain3Sweep(inst, move_set).answer(B).
+class Gain3Sweep final : public BudgetSweep {
+public:
+  explicit Gain3Sweep(const Instance& inst,
+                      GainMoveSet move_set = GainMoveSet::FastestType);
+  [[nodiscard]] Result answer(double budget) const override;
+
+private:
+  struct Step {
+    NodeId module = 0;
+    std::size_t type = 0;
+    double dc = 0.0;
+  };
+  const Instance& inst_;
+  Schedule start_;  ///< the least-cost schedule
+  double cmin_ = 0.0;
+  std::vector<Step> order_;  ///< descending static weight, ties -> larger dT
+};
 
 /// LOSS under budget B. Starts from the fastest schedule (the unlimited-VM
 /// analogue of a HEFT seed) and downgrades until the cost fits the budget.

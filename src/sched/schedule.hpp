@@ -50,4 +50,19 @@ struct Result {
   std::size_t iterations = 0;  ///< rescheduling rounds performed
 };
 
+/// A budget-constrained solver's budget-independent work on one
+/// instance, done once so that a budget sweep pays only the per-budget
+/// part. answer(B) returns exactly what the solver returns at B --
+/// schedule, iterations and evaluation, bit for bit -- and throws what
+/// it throws. Immutable once built: answer() may run on many threads at
+/// once. A sweep refers to its instance, which must outlive it.
+class BudgetSweep {
+public:
+  BudgetSweep() = default;
+  BudgetSweep(const BudgetSweep&) = delete;
+  BudgetSweep& operator=(const BudgetSweep&) = delete;
+  virtual ~BudgetSweep() = default;
+  [[nodiscard]] virtual Result answer(double budget) const = 0;
+};
+
 }  // namespace medcc::sched

@@ -77,6 +77,8 @@ enum class Counter : std::uint8_t {
   trace_dumps,
   instance_intern_hits,
   instance_intern_misses,
+  solver_sweep_builds,
+  solver_sweep_reuses,
 };
 
 /// Latency histogram ids (seconds), in rendering order.
@@ -142,9 +144,11 @@ inline constexpr auto kCounterRows = std::to_array<MetricRow>({
   {"trace_dumps", "medcc_trace_dumps_total", "", "Trace dump requests answered", MetricKind::counter},
   {"instance_intern_hits", "medcc_instance_intern_total", "outcome=\"hit\"", "Decoded solve requests by instance-table outcome", MetricKind::counter},
   {"instance_intern_misses", "medcc_instance_intern_total", "outcome=\"miss\"", "Decoded solve requests by instance-table outcome", MetricKind::counter},
+  {"solver_sweep_builds", "medcc_solver_sweep_total", "outcome=\"build\"", "Interned-instance solves by solver-sweep outcome", MetricKind::counter},
+  {"solver_sweep_reuses", "medcc_solver_sweep_total", "outcome=\"reuse\"", "Interned-instance solves by solver-sweep outcome", MetricKind::counter},
 });
 inline constexpr std::size_t kCounters = kCounterRows.size();
-static_assert(static_cast<std::size_t>(Counter::instance_intern_misses) + 1 ==
+static_assert(static_cast<std::size_t>(Counter::solver_sweep_reuses) + 1 ==
                   kCounters,
               "one row per Counter");
 

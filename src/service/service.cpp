@@ -268,7 +268,7 @@ void SchedulingService::run(Ticket& ticket) {
 
 SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
   const sched::Instance& instance = *request.instance;
-  const sched::SolverFn* solver = registry_.find(request.solver);
+  const sched::SolverEntry* solver = registry_.entry(request.solver);
   MEDCC_EXPECTS(solver != nullptr);  // admission already checked
 
   SchedulingResponse response;
@@ -279,10 +279,23 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
     return tracer != nullptr ? obs::Tracer::now_ns() : 0;
   };
 
+  // An interned instance answers from the solver's sweep when it has one.
+  const auto run_solver = [&]() -> sched::Result {
+    if (solver->sweep == nullptr || request.interned == nullptr)
+      return solver->solve(instance, request.budget);
+    MEDCC_EXPECTS(request.interned->instance() == request.instance);
+    bool built = false;
+    const sched::BudgetSweep& sweep =
+        request.interned->sweep(solver->sweep, built);
+    metrics_.add(built ? Counter::solver_sweep_builds
+                       : Counter::solver_sweep_reuses);
+    return sweep.answer(request.budget);
+  };
+
   if (cache_ == nullptr) {
     response.cache = CacheOutcome::bypass;
     const std::int64_t solver_start = span_clock();
-    response.result = (*solver)(instance, request.budget);
+    response.result = run_solver();
     if (tracer != nullptr)
       tracer->record(request.trace_buffer, obs::Stage::solve, solver_start,
                      obs::Tracer::now_ns());
@@ -329,7 +342,7 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
 
   response.cache = CacheOutcome::miss;
   const std::int64_t solver_start = span_clock();
-  response.result = (*solver)(instance, request.budget);
+  response.result = run_solver();
   if (tracer != nullptr)
     tracer->record(request.trace_buffer, obs::Stage::solve, solver_start,
                    obs::Tracer::now_ns());

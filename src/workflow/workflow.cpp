@@ -106,11 +106,4 @@ double Workflow::total_workload() const {
   return total;
 }
 
-std::vector<std::string> Workflow::module_names() const {
-  std::vector<std::string> names;
-  names.reserve(modules_.size());
-  for (const auto& m : modules_) names.push_back(m.name);
-  return names;
-}
-
 }  // namespace medcc::workflow

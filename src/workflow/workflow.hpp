@@ -89,9 +89,6 @@ public:
   /// Sum of all module workloads (fixed modules contribute zero).
   [[nodiscard]] double total_workload() const;
 
-  /// Module names, in id order, for tables.
-  [[nodiscard]] std::vector<std::string> module_names() const;
-
 private:
   dag::Dag graph_;
   std::vector<Module> modules_;

@@ -94,10 +94,6 @@ public:
           release_future_.wait();
           return medcc::sched::critical_greedy(inst, budget);
         });
-    for (const auto& name : medcc::sched::SolverRegistry::built_in().names())
-      registry_.register_solver(
-          std::string(name),
-          *medcc::sched::SolverRegistry::built_in().find(name));
   }
 
   void wait_until_blocked() { started_.wait(); }
@@ -110,7 +106,9 @@ private:
   std::latch started_{1};
   std::promise<void> release_;
   std::shared_future<void> release_future_{release_.get_future().share()};
-  medcc::sched::SolverRegistry registry_;
+  // The built-ins, sweeps included, with "block" on top.
+  medcc::sched::SolverRegistry registry_{
+      medcc::sched::SolverRegistry::built_in()};
 };
 
 TEST(NetServer, SolveOverLoopbackByteIdenticalToInProcess) {
@@ -193,6 +191,60 @@ TEST(NetServer, ServedBudgetSweepDecodesTheInstanceOnce) {
   EXPECT_EQ(text_metric(stats, "instance_intern_misses"), 1);
   EXPECT_EQ(text_metric(stats, "instance_intern_hits"), 39);
   EXPECT_EQ(service.instance_table().stats().size, 1u);
+}
+
+// A 20-level cg + gain3 sweep interleaved over 33 instances, one more
+// than the intern table holds, visited forwards then backwards at
+// alternate levels: entries are evicted and re-decoded, so their solver
+// sweeps are rebuilt, while most requests reuse a live one. Every
+// response is byte-identical to encoding the in-process solver's result.
+TEST(NetServer, SweepAcrossInternEvictionIsByteIdentical) {
+  SchedulingService service({.threads = 2});
+  Server server(service);
+  Client client(client_for(server));
+
+  constexpr std::size_t kInstances = medcc::service::kInstanceTableCapacity + 1;
+  medcc::util::Prng rng(25);
+  std::vector<std::shared_ptr<const Instance>> instances;
+  std::vector<std::vector<double>> budgets;
+  for (std::size_t k = 0; k < kInstances; ++k) {
+    instances.push_back(std::make_shared<const Instance>(
+        medcc::expr::make_instance(medcc::expr::table4_sizes()[3], rng)));
+    budgets.push_back(medcc::sched::budget_levels(
+        medcc::sched::cost_bounds(*instances.back()), 20));
+  }
+  const medcc::sched::SolverRegistry& solvers =
+      medcc::sched::SolverRegistry::built_in();
+  std::uint64_t id = 1;
+  for (std::size_t level = 0; level < 20; ++level) {
+    for (std::size_t visit = 0; visit < kInstances; ++visit) {
+      const std::size_t k =
+          level % 2 == 0 ? visit : kInstances - 1 - visit;
+      for (const std::string solver : {"cg", "gain3"}) {
+        const double budget = budgets[k][level];
+        SCOPED_TRACE(solver + " instance " + std::to_string(k) +
+                     " level " + std::to_string(level));
+        SchedulingResponse remote =
+            client.solve(request_for(instances[k], budget, solver));
+        ASSERT_TRUE(remote.ok()) << remote.error;
+        SchedulingResponse local;
+        local.status = ResponseStatus::ok;
+        local.cache = medcc::service::CacheOutcome::miss;
+        local.solver = solver;
+        local.result = (*solvers.find(solver))(*instances[k], budget);
+        remote.queue_delay_ms = remote.solve_ms = 0.0;
+        EXPECT_EQ(medcc::net::encode_solve_response(remote, id),
+                  medcc::net::encode_solve_response(local, id));
+        ++id;
+      }
+    }
+  }
+  const std::string stats = client.stats();
+  const long long builds = text_metric(stats, "solver_sweep_builds");
+  const long long reuses = text_metric(stats, "solver_sweep_reuses");
+  EXPECT_GT(builds, static_cast<long long>(2 * kInstances));  // rebuilds
+  EXPECT_GT(reuses, builds);
+  EXPECT_EQ(builds + reuses, static_cast<long long>(2 * 20 * kInstances));
 }
 
 TEST(NetServer, CacheAndRejectionTaxonomyCrossTheWire) {

@@ -20,9 +20,13 @@
 
 #include "analysis/verify.hpp"
 #include "cloud/vm_type.hpp"
+#include "expr/instance_gen.hpp"
+#include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
+#include "sched/gain_loss.hpp"
 #include "sched/instance.hpp"
 #include "sched/solver_registry.hpp"
+#include "util/prng.hpp"
 #include "workflow/patterns.hpp"
 #include "workflow/workflow.hpp"
 
@@ -296,10 +300,6 @@ public:
           release_future_.wait();
           return medcc::sched::critical_greedy(inst, budget);
         });
-    for (const auto& name : medcc::sched::SolverRegistry::built_in().names())
-      registry_.register_solver(
-          std::string(name),
-          *medcc::sched::SolverRegistry::built_in().find(name));
   }
 
   void wait_until_blocked() { started_.wait(); }
@@ -312,7 +312,9 @@ private:
   std::latch started_{1};
   std::promise<void> release_;
   std::shared_future<void> release_future_{release_.get_future().share()};
-  medcc::sched::SolverRegistry registry_;
+  // The built-ins, sweeps included, with "block" on top.
+  medcc::sched::SolverRegistry registry_{
+      medcc::sched::SolverRegistry::built_in()};
 };
 
 TEST(Service, BoundedQueueRejectsWhenFull) {
@@ -650,6 +652,74 @@ TEST(Service, EverySolverInRegistryServes) {
         << names[i] << ": " << response.error;
     EXPECT_LE(response.result.eval.cost, 57.0 + 1e-9) << names[i];
   }
+}
+
+// One interned instance asked at the paper's 20 levels under cg and
+// gain3: each solver's sweep is built once and answers the other 19
+// levels, and every answer equals the plain solver's.
+TEST(Service, InternedBudgetSweepBuildsEachSolverSweepOnce) {
+  medcc::util::Prng rng(20);
+  const auto inst = std::make_shared<const Instance>(
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[7], rng));
+  const auto interned =
+      std::make_shared<const medcc::service::InternedInstance>(inst);
+  const auto budgets =
+      medcc::sched::budget_levels(medcc::sched::cost_bounds(*inst), 20);
+  SchedulingService service({.threads = 2});
+  std::vector<std::future<SchedulingResponse>> futures;
+  for (const double budget : budgets) {
+    for (const std::string solver : {"cg", "gain3"}) {
+      auto request = request_for(inst, budget, solver);
+      request.interned = interned;
+      futures.push_back(service.submit(std::move(request)));
+    }
+  }
+  for (std::size_t k = 0; k < futures.size(); ++k) {
+    const double budget = budgets[k / 2];
+    const auto response = futures[k].get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.cache, CacheOutcome::miss);
+    expect_identical(response.result,
+                     k % 2 == 0 ? medcc::sched::critical_greedy(*inst, budget)
+                                : medcc::sched::gain3(*inst, budget));
+  }
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_builds), 2u);
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_reuses), 38u);
+}
+
+// A registry that replaces cg replaces its sweep with it: interned cg
+// requests are answered by the replacement, never from the built-in
+// Critical-Greedy trajectory.
+TEST(Service, ReplacedSolverIsNeverAnsweredFromBuiltInSweep) {
+  medcc::sched::SolverRegistry registry =
+      medcc::sched::SolverRegistry::built_in();
+  registry.register_solver("cg", [](const Instance& inst, double budget) {
+    return medcc::sched::gain3(inst, budget);
+  });
+  medcc::util::Prng rng(21);
+  const auto inst = std::make_shared<const Instance>(
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[7], rng));
+  const auto interned =
+      std::make_shared<const medcc::service::InternedInstance>(inst);
+  ServiceConfig config;
+  config.threads = 1;
+  config.registry = &registry;
+  SchedulingService service(config);
+  bool differs = false;  // the replacement is told apart somewhere
+  for (const double budget :
+       medcc::sched::budget_levels(medcc::sched::cost_bounds(*inst), 20)) {
+    auto request = request_for(inst, budget, "cg");
+    request.interned = interned;
+    const auto response = service.submit(std::move(request)).get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    expect_identical(response.result, medcc::sched::gain3(*inst, budget));
+    differs = differs || response.result.schedule !=
+                             medcc::sched::critical_greedy(*inst, budget)
+                                 .schedule;
+  }
+  EXPECT_TRUE(differs);
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_builds), 0u);
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_reuses), 0u);
 }
 
 // The served set is the paper's solvers plus the two metaheuristics; an

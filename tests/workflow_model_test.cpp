@@ -95,12 +95,6 @@ TEST(Workflow, NegativeDataSizeRejected) {
   EXPECT_THROW((void)wf.add_dependency(a, b, -0.5), medcc::InvalidArgument);
 }
 
-TEST(Workflow, ModuleNamesListed) {
-  const auto wf = small_valid();
-  EXPECT_EQ(wf.module_names(),
-            (std::vector<std::string>{"a", "b", "c"}));
-}
-
 TEST(Workflow, ValidationReportNamesProblems) {
   Workflow wf;
   const auto a = wf.add_module("a", 1.0);
