@@ -493,6 +493,42 @@ void record_multicloud(std::ostringstream& out) {
   }
 }
 
+/// GAIN2 (both move sets) and LOSS2 at all 20 of the paper's budget
+/// levels on Table IV sizes 7-10: the makespan-probing solvers on the
+/// dense shapes where most of their candidate moves cannot win a round.
+void record_v2_levels(std::ostringstream& out) {
+  using medcc::sched::GainLossVariant;
+  using medcc::sched::GainMoveSet;
+  const auto& sizes = medcc::expr::table4_sizes();
+  for (std::size_t k = 6; k < 10; ++k) {
+    for (const std::uint64_t seed : {1u, 2u}) {
+      medcc::util::Prng rng(1000 * seed + k);
+      const auto inst = medcc::expr::make_instance(sizes[k], rng);
+      const std::string name =
+          "t4s" + std::to_string(k + 1) + "/" + std::to_string(seed);
+      const auto levels =
+          medcc::sched::budget_levels(medcc::sched::cost_bounds(inst), 20);
+      for (std::size_t b = 0; b < levels.size(); ++b) {
+        const double budget = levels[b];
+        const std::string at = name + " L" + std::to_string(b + 1) + " ";
+        record(out, at + "gain2", [&] {
+          const auto r = medcc::sched::gain(inst, budget, GainLossVariant::V2);
+          return line(r.schedule, r.iterations, r.eval);
+        });
+        record(out, at + "gain2_all", [&] {
+          const auto r = medcc::sched::gain(inst, budget, GainLossVariant::V2,
+                                            GainMoveSet::AllPairs);
+          return line(r.schedule, r.iterations, r.eval);
+        });
+        record(out, at + "loss2", [&] {
+          const auto r = medcc::sched::loss(inst, budget, GainLossVariant::V2);
+          return line(r.schedule, r.iterations, r.eval);
+        });
+      }
+    }
+  }
+}
+
 std::filesystem::path golden_path() {
   return std::filesystem::path(__FILE__).parent_path() / "golden" /
          "solver_outputs.txt";
@@ -504,6 +540,7 @@ TEST(KernelDifferential, SolverOutputsMatchGoldenFile) {
   for (const auto& named : golden_instances())
     record_instance(out, named, pool);
   record_multicloud(out);
+  record_v2_levels(out);
   const std::string actual = out.str();
 
   if (std::getenv("MEDCC_UPDATE_GOLDEN") != nullptr) {
