@@ -7,8 +7,9 @@
 //    dag::makespan fitness path against the allocation-free CPM kernel
 //    (dag/cpm_kernel.hpp) on a genetic-style evaluation batch, plus
 //    wall-clock solve times per scheduler (plus per-solver rows for the
-//    makespan-probing baselines: GAIN2, LOSS2, the deadline solvers and a
-//    small exhaustive search), plus the paper's 20-level CG + GAIN3 budget
+//    makespan-probing baselines: GAIN2, LOSS2 -- also over Table IV size
+//    10's 20 budget levels -- the deadline solvers and a small exhaustive
+//    search), plus the paper's 20-level CG + GAIN3 budget
 //    sweep solved level by level against expr::sweep_budgets (sweep20,
 //    reported only). --json writes the numbers as a machine-readable
 //    report (uploaded as a CI artifact); --smoke shrinks the workload so
@@ -245,6 +246,10 @@ struct ProbeReport {
   std::size_t reps = 0;
   double gain2_ms = 0.0;
   double loss2_ms = 0.0;
+  /// Table IV size 10, summed over its 20 budget levels: the shape of the
+  /// serving benchmark's gain2/loss2 misses.
+  double t4s10_gain2_sweep_ms = 0.0;
+  double t4s10_loss2_sweep_ms = 0.0;
   double deadline_loss_ms = 0.0;
   double pcp_deadline_ms = 0.0;
   double exhaustive_ms = 0.0;
@@ -283,6 +288,23 @@ ProbeReport time_probing_solvers(bool smoke) {
   });
   report.loss2_ms = median_ms(report.reps, [&] {
     return medcc::sched::loss(inst, budget, GainLossVariant::V2);
+  });
+  medcc::util::Prng rng(10);
+  const auto t4s10 =
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[9], rng);
+  const auto levels =
+      medcc::sched::budget_levels(medcc::sched::cost_bounds(t4s10), 20);
+  report.t4s10_gain2_sweep_ms = median_ms(report.reps, [&] {
+    double med = 0.0;
+    for (const double level : levels)
+      med += medcc::sched::gain(t4s10, level, GainLossVariant::V2).eval.med;
+    return med;
+  });
+  report.t4s10_loss2_sweep_ms = median_ms(report.reps, [&] {
+    double med = 0.0;
+    for (const double level : levels)
+      med += medcc::sched::loss(t4s10, level, GainLossVariant::V2).eval.med;
+    return med;
   });
   report.deadline_loss_ms = median_ms(report.reps, [&] {
     return medcc::sched::deadline_loss(inst, deadline);
@@ -420,6 +442,10 @@ void write_json(const std::string& path, bool smoke,
       << "    \"reps\": " << probes.reps << ",\n"
       << "    \"gain2_ms\": " << probes.gain2_ms << ",\n"
       << "    \"loss2_ms\": " << probes.loss2_ms << ",\n"
+      << "    \"table4_size10_gain2_20_levels_ms\": "
+      << probes.t4s10_gain2_sweep_ms << ",\n"
+      << "    \"table4_size10_loss2_20_levels_ms\": "
+      << probes.t4s10_loss2_sweep_ms << ",\n"
       << "    \"deadline_loss_ms\": " << probes.deadline_loss_ms << ",\n"
       << "    \"pcp_deadline_ms\": " << probes.pcp_deadline_ms << ",\n"
       << "    \"exhaustive_ms\": " << probes.exhaustive_ms << "\n"
@@ -472,7 +498,10 @@ int run_handtimed(const std::string& json_path, bool smoke) {
             << " ms, deadline_loss=" << probes.deadline_loss_ms
             << " ms, pcp_deadline=" << probes.pcp_deadline_ms
             << " ms, exhaustive(m=" << probes.exhaustive_modules
-            << ")=" << probes.exhaustive_ms << " ms\n";
+            << ")=" << probes.exhaustive_ms << " ms\n"
+            << "probing solvers, Table IV size 10 over its 20 budget levels: "
+            << "gain2=" << probes.t4s10_gain2_sweep_ms
+            << " ms, loss2=" << probes.t4s10_loss2_sweep_ms << " ms\n";
   for (const SweepReport& r : sweeps)
     std::cout << "sweep20 " << r.instance << " (m=" << r.modules
               << ", median of " << r.reps << "): per-level cg+gain3 "

@@ -19,7 +19,11 @@
 //   1 -- weights from *task* execution-time differences, recomputed against
 //        the current schedule after every reassignment;
 //   2 -- weights from the *makespan* difference the reassignment would
-//        cause (global effect), recomputed after every reassignment;
+//        cause (global effect), recomputed after every reassignment. A
+//        round runs one full CPM pass and bounds each candidate's makespan
+//        change from its slack; only the candidates whose bound can reach
+//        the best weight get a forward pass, so the chosen move is the
+//        one probing every candidate would choose, bit for bit;
 //   3 -- weights from task differences computed ONCE against the initial
 //        schedule; tasks are then visited in static weight order.
 //
