@@ -11,10 +11,12 @@
 //    10's 20 budget levels -- the deadline solvers and a small exhaustive
 //    search), plus the paper's 20-level CG + GAIN3 budget
 //    sweep solved level by level against expr::sweep_budgets (sweep20,
-//    reported only). --json writes the numbers as a machine-readable
-//    report (uploaded as a CI artifact); --smoke shrinks the workload so
-//    the binary doubles as a ctest check, and fails if the kernel is not
-//    at least 3x faster than the legacy path.
+//    reported only), plus a workflow's first touch on the serving path:
+//    decoding a solve_request body and printing the decoded instance
+//    (first_touch, reported only). --json writes the numbers as a
+//    machine-readable report (uploaded as a CI artifact); --smoke
+//    shrinks the workload so the binary doubles as a ctest check, and
+//    fails if the kernel is not at least 3x faster than the legacy path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include "cloud/vm_type.hpp"
 #include "dag/cpm_kernel.hpp"
 #include "expr/compare.hpp"
+#include "net/codec.hpp"
 #include "sched/annealing.hpp"
 #include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
@@ -36,8 +39,10 @@
 #include "sched/gain_loss.hpp"
 #include "sched/genetic.hpp"
 #include "sched/pcp.hpp"
+#include "service/fingerprint.hpp"
 #include "sim/executor.hpp"
 #include "workflow/patterns.hpp"
+#include "workflow/random_workflow.hpp"
 
 namespace {
 
@@ -406,10 +411,83 @@ std::vector<SweepReport> time_sweeps(bool smoke) {
   return reports;
 }
 
+/// A workflow's first touch on the serving path, median of `reps`: the
+/// decode of its solve_request body (instance build and validation
+/// included) and the print of the decoded instance (both label runs and
+/// the exact hash). Wall-clock, reported only.
+struct FirstTouchReport {
+  std::string instance;
+  std::size_t modules = 0;
+  std::size_t edges = 0;
+  std::size_t types = 0;
+  std::size_t reps = 0;
+  double decode_us = 0.0;
+  double print_us = 0.0;
+};
+
+FirstTouchReport time_first_touch(std::string name,
+                                  medcc::sched::Instance inst, bool smoke) {
+  FirstTouchReport report;
+  report.instance = std::move(name);
+  report.modules = inst.module_count();
+  report.edges = inst.workflow().dependency_count();
+  report.types = inst.type_count();
+  report.reps = smoke ? 21 : 201;
+  medcc::service::SchedulingRequest request;
+  request.instance =
+      std::make_shared<const medcc::sched::Instance>(std::move(inst));
+  request.budget = 1.0;
+  request.solver = "cg";
+  const std::string frame = medcc::net::encode_solve_request(request, 1);
+  const std::string_view body =
+      std::string_view(frame).substr(medcc::net::kHeaderSize);
+  report.decode_us = 1e3 * median_ms(report.reps, [&] {
+    return medcc::net::decode_solve_request(body);
+  });
+  const auto decoded = medcc::net::decode_solve_request(body).instance;
+  report.print_us = 1e3 * median_ms(report.reps, [&] {
+    return medcc::service::print_instance(*decoded);
+  });
+  return report;
+}
+
+std::vector<FirstTouchReport> time_first_touches(bool smoke) {
+  std::vector<FirstTouchReport> reports;
+  const auto& sizes = medcc::expr::table4_sizes();
+  for (const std::size_t k : {1u, 10u, 20u}) {
+    medcc::util::Prng rng(30 + k);
+    reports.push_back(time_first_touch(
+        "table4_size" + std::to_string(k),
+        medcc::expr::make_instance(sizes[k - 1], rng), smoke));
+  }
+  // Table IV size 10's shape with data on every edge over a finite link:
+  // every edge carries its own data-size and transfer-time words.
+  medcc::util::Prng rng(40);
+  medcc::workflow::RandomWorkflowSpec spec;
+  spec.modules = sizes[9].modules;
+  spec.edges = sizes[9].edges;
+  spec.data_size_min = 1.0;
+  spec.data_size_max = 40.0;
+  auto wf = medcc::workflow::random_workflow(spec, rng);
+  auto catalog = medcc::cloud::random_linear_catalog(
+      sizes[9].types, 4 * sizes[9].types, rng, 1.0, 1.0, 0.25);
+  medcc::cloud::NetworkModel network;
+  network.bandwidth = 8.0;
+  network.link_delay = 0.25;
+  reports.push_back(time_first_touch(
+      "table4_size10_edge_data",
+      medcc::sched::Instance::from_model(
+          std::move(wf), std::move(catalog),
+          medcc::cloud::BillingPolicy::per_unit_time(), network),
+      smoke));
+  return reports;
+}
+
 void write_json(const std::string& path, bool smoke,
                 const FitnessReport& fitness, const SolverReport& solvers,
                 const ProbeReport& probes,
-                const std::vector<SweepReport>& sweeps) {
+                const std::vector<SweepReport>& sweeps,
+                const std::vector<FirstTouchReport>& touches) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "FAIL: cannot write " << path << "\n";
@@ -459,6 +537,17 @@ void write_json(const std::string& path, bool smoke,
         << ", \"sweep_ms\": " << r.sweep_ms << ", \"speedup\": " << r.speedup
         << "}" << (k + 1 < sweeps.size() ? "," : "") << "\n";
   }
+  out << "  ],\n"
+      << "  \"first_touch\": [\n";
+  for (std::size_t k = 0; k < touches.size(); ++k) {
+    const FirstTouchReport& r = touches[k];
+    out << "    {\"instance\": \"" << r.instance << "\", \"modules\": "
+        << r.modules << ", \"edges\": " << r.edges << ", \"types\": "
+        << r.types << ", \"reps\": " << r.reps
+        << ", \"decode_us\": " << r.decode_us
+        << ", \"print_us\": " << r.print_us << "}"
+        << (k + 1 < touches.size() ? "," : "") << "\n";
+  }
   out << "  ]\n"
       << "}\n";
 }
@@ -476,6 +565,7 @@ int run_handtimed(const std::string& json_path, bool smoke) {
   const auto solvers = time_solvers(inst, smoke);
   const auto probes = time_probing_solvers(smoke);
   const auto sweeps = time_sweeps(smoke);
+  const auto touches = time_first_touches(smoke);
 
   std::cout << "fitness batch (m=" << fitness.modules
             << ", |Ew|=" << fitness.edges << ", " << fitness.batch << "x"
@@ -507,9 +597,14 @@ int run_handtimed(const std::string& json_path, bool smoke) {
               << ", median of " << r.reps << "): per-level cg+gain3 "
               << r.per_level_ms << " ms, sweep_budgets " << r.sweep_ms
               << " ms (" << r.speedup << "x)\n";
+  for (const FirstTouchReport& r : touches)
+    std::cout << "first touch " << r.instance << " (m=" << r.modules
+              << ", |Ew|=" << r.edges << ", median of " << r.reps
+              << "): decode " << r.decode_us << " us, print " << r.print_us
+              << " us\n";
 
   if (!json_path.empty())
-    write_json(json_path, smoke, fitness, solvers, probes, sweeps);
+    write_json(json_path, smoke, fitness, solvers, probes, sweeps, touches);
 
   if (smoke && fitness.speedup < 3.0) {
     std::cerr << "FAIL: kernel speedup " << fitness.speedup

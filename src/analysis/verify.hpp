@@ -10,8 +10,11 @@
 //
 // Rule ids emitted (stable, matched by tests):
 //   verify_workflow : cycle, multi-source, multi-sink, empty-workflow,
-//                     negative-workload, negative-data-size, unreachable,
+//                     negative-workload, negative-data-size,
 //                     zero-workload (warning), redundant-edge (info)
+//                     (no reachability rule: an acyclic graph with one
+//                     source and one sink has every module on an
+//                     entry->exit path)
 //   verify_schedule : mapping-size, dangling-vm-type, cost-table-mismatch,
 //                     cost-mismatch, over-budget, missed-deadline,
 //                     timing-size, timing-inconsistent,
@@ -43,7 +46,8 @@ struct VerifyOptions {
 };
 
 /// Structural invariants of Section III-B: DAG-ness, a unique entry and
-/// exit, full entry->exit coverage, non-negative workloads and data sizes.
+/// exit (which together imply full entry->exit coverage), non-negative
+/// workloads and data sizes.
 [[nodiscard]] Diagnostics verify_workflow(const workflow::Workflow& wf);
 
 /// Full feasibility check of (schedule, reported evaluation) against

@@ -104,10 +104,10 @@ TEST(Dag, CycleDetected) {
 
 TEST(Dag, Reachability) {
   const auto g = diamond();
-  EXPECT_TRUE(g.reachable(0, 3));
-  EXPECT_TRUE(g.reachable(0, 0));
-  EXPECT_FALSE(g.reachable(1, 2));
-  EXPECT_FALSE(g.reachable(3, 0));
+  EXPECT_TRUE(g.reachable_set(0)[3]);
+  EXPECT_TRUE(g.reachable_set(0)[0]);
+  EXPECT_FALSE(g.reachable_set(1)[2]);
+  EXPECT_FALSE(g.reachable_set(3)[0]);
 }
 
 TEST(Dag, ReachableSet) {
@@ -165,11 +165,29 @@ TEST_P(DagPropertyTest, RandomForwardDagInvariants) {
 
   // Reachability is transitive along sampled chains.
   for (std::size_t e = 0; e < g.edge_count(); ++e)
-    EXPECT_TRUE(g.reachable(g.edge(e).src, g.edge(e).dst));
+    EXPECT_TRUE(g.reachable_set(g.edge(e).src)[g.edge(e).dst]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DagPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// A graph copied while its order is memoized shares the memo until it
+// mutates; a mutation then drops only its own copy's order.
+TEST(Dag, CopiedMemoInvalidatedOnlyInTheMutatedCopy) {
+  Dag g(3);
+  g.add_edge(0, 1);
+  ASSERT_EQ(g.topological_order()->size(), 3u);
+  Dag copy = g;
+  const NodeId fresh = copy.add_node();
+  copy.add_edge(fresh, 2);
+  ASSERT_EQ(copy.topological_order()->size(), 4u);
+  EXPECT_EQ(g.topological_order()->size(), 3u);
+  copy.add_edge(2, fresh);
+  EXPECT_FALSE(copy.is_acyclic());
+  EXPECT_TRUE(g.is_acyclic());
+  g = copy;
+  EXPECT_FALSE(g.is_acyclic());
+}
 
 // Regression for the topo-order memo under TSan: many readers hitting the
 // first (cache-filling) call at once, with single-threaded add_edge

@@ -15,13 +15,14 @@
 
 #include <atomic>
 #include <bit>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <latch>
 #include <map>
 #include <memory>
-#include <regex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -638,6 +639,59 @@ TEST(NetServer, FastPathServesByteIdenticalMemoizedFrame) {
   EXPECT_EQ(snap[Counter::requests_total], 1u);
 }
 
+/// One Prometheus exposition sample line, split into its parts.
+struct PromSample {
+  std::string name;
+  std::string labels;  ///< the "{...}" block, or empty
+  std::string value;
+};
+
+/// Splits `line` as `name{labels} value`: a name of [a-zA-Z_:] then
+/// [a-zA-Z0-9_:]*, an optional brace block with no brace inside, one
+/// space, and a value of one or more non-space characters running to the
+/// end of the line. nullopt when the line has another shape.
+std::optional<PromSample> split_sample(const std::string& line) {
+  const auto name_char = [](char c, bool first) {
+    const auto u = static_cast<unsigned char>(c);
+    return std::isalpha(u) != 0 || c == '_' || c == ':' ||
+           (!first && std::isdigit(u) != 0);
+  };
+  std::size_t i = 0;
+  while (i < line.size() && name_char(line[i], i == 0)) ++i;
+  if (i == 0) return std::nullopt;
+  PromSample sample;
+  sample.name = line.substr(0, i);
+  if (i < line.size() && line[i] == '{') {
+    const std::size_t close = line.find_first_of("{}", i + 1);
+    if (close == std::string::npos || line[close] != '}') return std::nullopt;
+    sample.labels = line.substr(i, close + 1 - i);
+    i = close + 1;
+  }
+  if (i >= line.size() || line[i] != ' ') return std::nullopt;
+  sample.value = line.substr(i + 1);
+  if (sample.value.empty() ||
+      sample.value.find_first_of(" \t\n\r\f\v") != std::string::npos)
+    return std::nullopt;
+  return sample;
+}
+
+TEST(NetServer, PrometheusSampleSplitterAcceptsOnlySampleLines) {
+  const auto plain = split_sample("medcc_requests_total 12");
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->name, "medcc_requests_total");
+  EXPECT_EQ(plain->labels, "");
+  EXPECT_EQ(plain->value, "12");
+  const auto labelled = split_sample(R"(a:b_1{x="1",y="a b"} 0.5)");
+  ASSERT_TRUE(labelled.has_value());
+  EXPECT_EQ(labelled->name, "a:b_1");
+  EXPECT_EQ(labelled->labels, R"({x="1",y="a b"})");
+  EXPECT_EQ(labelled->value, "0.5");
+  for (const char* bad :
+       {"", "1abc 2", "abc", "abc ", "abc  2", "abc 2 3", "abc{x} ",
+        "abc{x 2", "abc{x{y}} 2", "abc{}x 2", "a-b 2", "abc 2\t"})
+    EXPECT_FALSE(split_sample(bad).has_value()) << bad;
+}
+
 // A live Prometheus scrape through the stats frame is well formed and
 // carries the transport rows next to the service's own.
 TEST(NetServer, LivePrometheusScrapeIsWellFormedAndCarriesTransport) {
@@ -650,8 +704,6 @@ TEST(NetServer, LivePrometheusScrapeIsWellFormedAndCarriesTransport) {
   const std::string scrape =
       client.stats(medcc::net::StatsFormat::prometheus);
 
-  const std::regex sample_re(
-      R"(([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (\S+))");
   std::map<std::string, std::string> typed;  // family -> type
   std::set<std::string> seen;
   std::map<std::string, double> value_of;
@@ -668,14 +720,14 @@ TEST(NetServer, LivePrometheusScrapeIsWellFormedAndCarriesTransport) {
       EXPECT_TRUE(typed.emplace(family, type).second) << "family typed twice";
       continue;
     }
-    std::smatch m;
-    ASSERT_TRUE(std::regex_match(line, m, sample_re)) << "not a sample";
-    const std::string name = m[1];
-    const std::string key = name + m[2].str();
+    const std::optional<PromSample> sample = split_sample(line);
+    ASSERT_TRUE(sample.has_value()) << "not a sample";
+    const std::string& name = sample->name;
+    const std::string key = name + sample->labels;
     EXPECT_TRUE(seen.insert(key).second) << "series repeats";
     std::size_t used = 0;
-    value_of[key] = std::stod(m[3].str(), &used);
-    EXPECT_EQ(used, m[3].length()) << "value is not a number";
+    value_of[key] = std::stod(sample->value, &used);
+    EXPECT_EQ(used, sample->value.size()) << "value is not a number";
     // A histogram's samples carry a suffix on the family name.
     std::string family = name;
     for (const std::string suffix : {"_bucket", "_sum", "_count"})
