@@ -91,6 +91,23 @@ util::FdHandle connect_any(const addrinfo* addrs, double timeout_ms,
   return {};
 }
 
+/// "wire <code>: <message>" of an error frame's body.
+std::string fault_text(std::string_view error_body) {
+  const WireFault fault = decode_error(error_body);
+  return std::string("wire ") + to_string(fault.code) + ": " + fault.message;
+}
+
+/// An error frame with request id 0: the server could not frame our
+/// bytes and closes the stream after it. hello() reads a version
+/// refusal as a v1 peer; to every other call it is a stream fault.
+class StreamRefused : public NetError {
+public:
+  explicit StreamRefused(std::string_view error_body)
+      : NetError("client: stream refused: " + fault_text(error_body)),
+        code(decode_error(error_body).code) {}
+  WireError code;
+};
+
 }  // namespace
 
 /// Absolute steady-clock deadline; unbounded when the config timeout is 0.
@@ -177,16 +194,9 @@ void Client::send_bytes(std::string_view bytes, const Deadline& deadline) {
   }
 }
 
-std::string Client::read_frame(FrameHeader& header, const Deadline& deadline) {
+FrameBuffer::Frame Client::read_frame(const Deadline& deadline) {
   for (;;) {
-    const auto parsed = parse_frame_header(inbuf_, config_.max_frame_body);
-    if (parsed &&
-        inbuf_.size() >= kHeaderSize + parsed->body_size) {
-      header = *parsed;
-      std::string body = inbuf_.substr(kHeaderSize, parsed->body_size);
-      inbuf_.erase(0, kHeaderSize + parsed->body_size);
-      return body;
-    }
+    if (auto frame = inbuf_.next(config_.max_frame_body)) return *frame;
 
     if (deadline.expired()) throw NetError("client: response timed out");
     const auto wait = util::wait_readable(fd_.get(), deadline.remaining_ms());
@@ -198,7 +208,7 @@ std::string Client::read_frame(FrameHeader& header, const Deadline& deadline) {
     char chunk[16 * 1024];
     const long n = util::recv_some(fd_.get(), chunk, sizeof(chunk));
     if (n > 0) {
-      inbuf_.append(chunk, static_cast<std::size_t>(n));
+      inbuf_.append(std::string_view(chunk, static_cast<std::size_t>(n)));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) continue;
@@ -208,116 +218,162 @@ std::string Client::read_frame(FrameHeader& header, const Deadline& deadline) {
   }
 }
 
-service::SchedulingResponse Client::response_from_frame(
-    const FrameHeader& header, std::string_view body,
-    std::uint64_t expected_min_id, std::uint64_t expected_max_id) {
-  if (header.request_id < expected_min_id ||
-      header.request_id > expected_max_id)
-    throw NetError("client: response for unknown request id " +
-                   std::to_string(header.request_id));
-  switch (header.type) {
-    case FrameType::solve_response:
-      return decode_solve_response(body);
-    case FrameType::error: {
-      // The server scoped this fault to our request (echoed id): surface
-      // it as a failed response rather than poisoning the connection.
-      const WireFault fault = decode_error(body);
-      service::SchedulingResponse response;
-      response.status = service::ResponseStatus::failed;
-      response.error = std::string("wire ") + to_string(fault.code) + ": " +
-                       fault.message;
-      return response;
-    }
-    default:
-      throw NetError("client: unexpected frame type in response");
+void Client::exchange(std::vector<std::string> frames,
+                      const OnReply& on_reply) {
+  if (frames.empty()) return;
+  const std::uint64_t base = next_id_;
+  next_id_ += frames.size();
+  std::string burst;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    set_request_id(frames[i].data(), base + i);
+    burst += frames[i];
   }
+  connect();
+  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
+  try {
+    send_bytes(burst, deadline);
+    std::vector<bool> seen(frames.size(), false);
+    for (std::size_t done = 0; done < frames.size(); ++done) {
+      const FrameBuffer::Frame reply = read_frame(deadline);
+      const std::uint64_t id = reply.header.request_id;
+      if (id == 0 && reply.header.type == FrameType::error)
+        throw StreamRefused(reply.body);
+      if (id < base || id - base >= frames.size())
+        throw NetError("client: response for unknown request id " +
+                       std::to_string(id));
+      const auto slot = static_cast<std::size_t>(id - base);
+      if (seen[slot])
+        throw NetError("client: duplicate response for request id " +
+                       std::to_string(id));
+      seen[slot] = true;
+      on_reply(slot, reply.header, reply.body);
+    }
+  } catch (const CodecError& e) {
+    // A bad reply header or body leaves the stream position unknown,
+    // exactly like a transport fault.
+    close();
+    throw NetError(std::string("client: bad reply: ") + e.what());
+  } catch (...) {
+    close();
+    throw;
+  }
+}
+
+template <class T>
+T Client::call(std::string frame, FrameType type, const char* what,
+               T (*decode)(std::string_view)) {
+  T result{};
+  exchange({std::move(frame)}, [&](std::size_t, const FrameHeader& header,
+                                   std::string_view body) {
+    if (header.type == FrameType::error)
+      throw NetError(std::string("client: ") + what +
+                     " failed: " + fault_text(body));
+    if (header.type != type)
+      throw NetError(std::string("client: unexpected frame answering ") +
+                     what);
+    result = decode(body);
+  });
+  return result;
 }
 
 service::SchedulingResponse Client::solve(
     const service::SchedulingRequest& request) {
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t id = next_id_++;
-  try {
-    send_bytes(request.trace.valid()
-                   ? encode_traced_solve_request(request, request.trace, id)
-                   : encode_solve_request(request, id),
-               deadline);
-    FrameHeader header;
-    const std::string body = read_frame(header, deadline);
-    return response_from_frame(header, body, id, id);
-  } catch (...) {
-    // Timeouts and stream faults leave the framing position unknown.
-    close();
-    throw;
-  }
+  return std::move(solve_batch({request}).front());
 }
 
 std::vector<service::SchedulingResponse> Client::solve_batch(
     const std::vector<service::SchedulingRequest>& requests) {
-  if (requests.empty()) return {};
-  connect();
-  // One deadline bounds the whole pipelined burst.
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t base = next_id_;
-  next_id_ += requests.size();
-  try {
-    std::string burst;
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      burst += requests[i].trace.valid()
-                   ? encode_traced_solve_request(requests[i],
-                                                 requests[i].trace, base + i)
-                   : encode_solve_request(requests[i], base + i);
-    send_bytes(burst, deadline);
-
-    std::vector<service::SchedulingResponse> responses(requests.size());
-    std::vector<bool> seen(requests.size(), false);
-    for (std::size_t done = 0; done < requests.size(); ++done) {
-      FrameHeader header;
-      const std::string body = read_frame(header, deadline);
-      auto response = response_from_frame(header, body, base,
-                                          base + requests.size() - 1);
-      const std::size_t slot =
-          static_cast<std::size_t>(header.request_id - base);
-      if (seen[slot])
-        throw NetError("client: duplicate response for request id " +
-                       std::to_string(header.request_id));
-      seen[slot] = true;
-      responses[slot] = std::move(response);
+  std::vector<std::string> frames;
+  frames.reserve(requests.size());
+  for (const service::SchedulingRequest& request : requests)
+    frames.push_back(request.trace.valid()
+                         ? encode_traced_solve_request(request, request.trace,
+                                                       0)
+                         : encode_solve_request(request, 0));
+  std::vector<service::SchedulingResponse> responses(requests.size());
+  exchange(std::move(frames), [&](std::size_t slot, const FrameHeader& header,
+                                  std::string_view body) {
+    switch (header.type) {
+      case FrameType::solve_response:
+        responses[slot] = decode_solve_response(body);
+        return;
+      case FrameType::error:
+        // The server scoped this fault to our request (echoed id):
+        // surface it as a failed response, the stream stays usable.
+        responses[slot].status = service::ResponseStatus::failed;
+        responses[slot].error = fault_text(body);
+        return;
+      default:
+        throw NetError("client: unexpected frame type in response");
     }
-    return responses;
-  } catch (...) {
-    close();
-    throw;
+  });
+  return responses;
+}
+
+std::vector<ReplAck> Client::repl_insert_batch(
+    const std::vector<ReplRecord>& records) {
+  std::vector<std::string> frames;
+  frames.reserve(records.size());
+  for (const ReplRecord& record : records)
+    frames.push_back(encode_repl_insert(record.payload, 0, record.trace));
+  std::vector<ReplAck> acks(records.size());
+  exchange(std::move(frames), [&](std::size_t slot, const FrameHeader& header,
+                                  std::string_view body) {
+    if (header.type == FrameType::repl_ack)
+      acks[slot] = decode_repl_ack(body);
+    else if (header.type == FrameType::error)
+      acks[slot].error = fault_text(body);
+    else
+      throw NetError("client: unexpected frame answering repl_insert");
+  });
+  return acks;
+}
+
+Hello Client::hello(const Hello& offer) {
+  try {
+    return call(encode_hello_request(offer, 0), FrameType::hello_response,
+                "hello", decode_hello_response);
+  } catch (const StreamRefused& refused) {
+    if (refused.code != WireError::bad_version &&
+        refused.code != WireError::bad_frame_type)
+      throw;
+    // A v1 peer rejecting the extension frame IS the negotiation
+    // result; it closed the stream, and the exchange closed our side.
+    Hello granted;
+    granted.version = kVersion;
+    granted.features = 0;
+    return granted;
   }
+}
+
+ClusterStatus Client::cluster_status() {
+  return call(encode_cluster_status_request(0),
+              FrameType::cluster_status_response, "cluster status",
+              decode_cluster_status_response);
+}
+
+TraceDump Client::trace_dump(std::uint32_t max_traces) {
+  return call(encode_trace_dump_request(max_traces, 0),
+              FrameType::trace_dump_response, "trace dump",
+              decode_trace_dump_response);
+}
+
+std::string Client::stats(StatsFormat format) {
+  return call(encode_stats_request(format, 0), FrameType::stats_response,
+              "stats", decode_stats_response);
 }
 
 // -- MultiClient -----------------------------------------------------------
 
-double LoadStats::throughput_rps() const {
-  if (wall_seconds <= 0.0) return 0.0;
-  return static_cast<double>(ok + failed) / wall_seconds;
-}
-
-double LoadStats::latency_quantile(double percent) const {
-  if (latency_seconds.empty()) return 0.0;
-  std::vector<double> sorted = latency_seconds;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::min(std::max(percent, 0.0), 100.0);
-  const auto rank = static_cast<std::size_t>(
-      clamped / 100.0 * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
-}
-
-/// One connection's pipeline: bytes waiting to go out, bytes received
-/// beyond the last consumed frame, and the send timestamp of every
+/// One connection's pipeline: bytes waiting to go out, received bytes
+/// not yet consumed as frames, and the send timestamp of every
 /// in-flight request id (ids are globally unique, so responses -- which
 /// come back on the connection that sent them -- always resolve here).
 struct MultiClient::Conn {
   util::FdHandle fd;
   std::string outbuf;
   std::size_t out_off = 0;
-  std::string inbuf;
+  FrameBuffer inbuf;
   std::unordered_map<std::uint64_t, std::chrono::steady_clock::time_point>
       in_flight;
 };
@@ -441,7 +497,8 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
       for (;;) {
         const long got = util::recv_some(conn.fd.get(), chunk, sizeof(chunk));
         if (got > 0) {
-          conn.inbuf.append(chunk, static_cast<std::size_t>(got));
+          conn.inbuf.append(std::string_view(chunk,
+                                             static_cast<std::size_t>(got)));
           continue;
         }
         if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -453,26 +510,21 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
       // Consume every complete frame; bodies are not decoded -- the
       // generator measures transport throughput, so classification by
       // frame type is enough (content checks live in the tests).
-      for (;;) {
-        const auto header =
-            parse_frame_header(conn.inbuf, config_.max_frame_body);
-        if (!header || conn.inbuf.size() < kHeaderSize + header->body_size)
-          break;
-        const auto it = conn.in_flight.find(header->request_id);
+      while (const auto reply = conn.inbuf.next(config_.max_frame_body)) {
+        const auto it = conn.in_flight.find(reply->header.request_id);
         if (it == conn.in_flight.end())
           throw NetError("multi-client: response for unknown request id " +
-                         std::to_string(header->request_id));
+                         std::to_string(reply->header.request_id));
         stats.latency_seconds.push_back(
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           it->second)
                 .count());
         conn.in_flight.erase(it);
-        if (header->type == FrameType::solve_response)
+        if (reply->header.type == FrameType::solve_response)
           ++stats.ok;
         else
           ++stats.failed;
         ++completed;
-        conn.inbuf.erase(0, kHeaderSize + header->body_size);
       }
       enqueue(conn);
     }
@@ -481,166 +533,6 @@ LoadStats MultiClient::run(const service::SchedulingRequest& request,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
           .count();
   return stats;
-}
-
-Hello Client::hello(const Hello& offer) {
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t id = next_id_++;
-  try {
-    send_bytes(encode_hello_request(offer, id), deadline);
-    FrameHeader header;
-    const std::string body = read_frame(header, deadline);
-    if (header.type == FrameType::hello_response && header.request_id == id)
-      return decode_hello_response(body);
-    if (header.type == FrameType::error) {
-      const WireFault fault = decode_error(body);
-      if (fault.code == WireError::bad_version ||
-          fault.code == WireError::bad_frame_type) {
-        // A v1 peer rejecting the extension frame IS the negotiation
-        // result; it also closes the stream, so drop our side too.
-        close();
-        Hello granted;
-        granted.version = kVersion;
-        granted.features = 0;
-        return granted;
-      }
-      throw NetError(std::string("client: hello failed: wire ") +
-                     to_string(fault.code) + ": " + fault.message);
-    }
-    throw NetError("client: unexpected frame answering hello");
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-std::vector<ReplAck> Client::repl_insert_batch(
-    const std::vector<std::string>& payloads) {
-  std::vector<ReplRecord> records(payloads.size());
-  for (std::size_t i = 0; i < payloads.size(); ++i)
-    records[i].payload = payloads[i];
-  return repl_insert_batch(records);
-}
-
-std::vector<ReplAck> Client::repl_insert_batch(
-    const std::vector<ReplRecord>& payloads) {
-  if (payloads.empty()) return {};
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t base = next_id_;
-  next_id_ += payloads.size();
-  try {
-    std::string burst;
-    for (std::size_t i = 0; i < payloads.size(); ++i)
-      burst += encode_repl_insert(payloads[i].payload, base + i,
-                                  payloads[i].trace);
-    send_bytes(burst, deadline);
-
-    std::vector<ReplAck> acks(payloads.size());
-    std::vector<bool> seen(payloads.size(), false);
-    for (std::size_t done = 0; done < payloads.size(); ++done) {
-      FrameHeader header;
-      const std::string body = read_frame(header, deadline);
-      if (header.request_id < base ||
-          header.request_id >= base + payloads.size())
-        throw NetError("client: repl ack for unknown request id " +
-                       std::to_string(header.request_id));
-      ReplAck ack;
-      if (header.type == FrameType::repl_ack) {
-        ack = decode_repl_ack(body);
-      } else if (header.type == FrameType::error) {
-        const WireFault fault = decode_error(body);
-        ack.applied = false;
-        ack.error = std::string("wire ") + to_string(fault.code) + ": " +
-                    fault.message;
-      } else {
-        throw NetError("client: unexpected frame answering repl_insert");
-      }
-      const std::size_t slot =
-          static_cast<std::size_t>(header.request_id - base);
-      if (seen[slot])
-        throw NetError("client: duplicate repl ack for request id " +
-                       std::to_string(header.request_id));
-      seen[slot] = true;
-      acks[slot] = std::move(ack);
-    }
-    return acks;
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-ClusterStatus Client::cluster_status() {
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t id = next_id_++;
-  try {
-    send_bytes(encode_cluster_status_request(id), deadline);
-    FrameHeader header;
-    const std::string body = read_frame(header, deadline);
-    if (header.type != FrameType::cluster_status_response ||
-        header.request_id != id) {
-      if (header.type == FrameType::error) {
-        const WireFault fault = decode_error(body);
-        throw NetError(std::string("client: cluster status failed: wire ") +
-                       to_string(fault.code) + ": " + fault.message);
-      }
-      throw NetError("client: unexpected frame answering cluster status");
-    }
-    return decode_cluster_status_response(body);
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-TraceDump Client::trace_dump(std::uint32_t max_traces) {
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t id = next_id_++;
-  try {
-    send_bytes(encode_trace_dump_request(max_traces, id), deadline);
-    FrameHeader header;
-    const std::string body = read_frame(header, deadline);
-    if (header.type != FrameType::trace_dump_response ||
-        header.request_id != id) {
-      if (header.type == FrameType::error) {
-        const WireFault fault = decode_error(body);
-        throw NetError(std::string("client: trace dump failed: wire ") +
-                       to_string(fault.code) + ": " + fault.message);
-      }
-      throw NetError("client: unexpected frame answering trace dump");
-    }
-    return decode_trace_dump_response(body);
-  } catch (...) {
-    close();
-    throw;
-  }
-}
-
-std::string Client::stats(StatsFormat format) {
-  connect();
-  const auto deadline = Deadline::from_timeout(config_.request_timeout_ms);
-  const std::uint64_t id = next_id_++;
-  try {
-    send_bytes(encode_stats_request(format, id), deadline);
-    FrameHeader header;
-    const std::string body = read_frame(header, deadline);
-    if (header.type != FrameType::stats_response || header.request_id != id) {
-      if (header.type == FrameType::error) {
-        const WireFault fault = decode_error(body);
-        throw NetError(std::string("client: stats failed: wire ") +
-                       to_string(fault.code) + ": " + fault.message);
-      }
-      throw NetError("client: unexpected frame answering stats request");
-    }
-    return decode_stats_response(body);
-  } catch (...) {
-    close();
-    throw;
-  }
 }
 
 }  // namespace medcc::net

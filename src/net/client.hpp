@@ -1,18 +1,29 @@
 // Blocking client for the MED-CC wire protocol.
 //
 // One Client owns one TCP connection. connect() retries with
-// exponential backoff (util::Backoff); solve() performs one
-// request/response exchange; solve_batch() pipelines N requests on the
-// connection in one burst and gathers the responses by request id, so
-// a slow solve never blocks the ones behind it server-side; stats()
-// fetches the service's metrics dump over the wire.
+// exponential backoff (util::Backoff). Every call -- solve(),
+// solve_batch(), stats(), hello(), repl_insert_batch(),
+// cluster_status(), trace_dump() -- is one pipelined request-reply
+// exchange: connect, send the whole burst, then read one reply per
+// request off the connection's FrameBuffer and match it by request id,
+// so a slow solve never blocks the ones behind it server-side. solve()
+// is a batch of one.
 //
-// Deadlines: every exchange is bounded by ClientConfig::request_timeout_ms
-// (0 = wait forever). A timeout -- like any transport or framing error --
-// leaves the stream position unknown, so the client closes the
-// connection and throws NetError; the next call reconnects. Per-request
-// *queue* deadlines (SchedulingRequest::deadline_ms) are enforced
-// server-side and come back as ordinary rejected responses.
+// Faults: an error frame echoing a request's id is that request's
+// answer (a `failed` response, an unapplied ack, or NetError from the
+// admin calls). Every stream fault -- connect or send failure, a
+// timeout, a closed connection, a reply with an unknown or duplicate
+// id, an error frame with id 0 (the server could not frame our bytes),
+// a bad reply header or an undecodable reply body -- leaves the stream
+// position unknown, so the client closes the connection and throws
+// NetError (carrying the codec's text for the last two); the next call
+// reconnects. ClusterClient fails over on exactly these. hello() alone
+// reads an id-0 version refusal as a v1 peer.
+//
+// Deadlines: one ClientConfig::request_timeout_ms bound covers each
+// whole exchange (0 = wait forever). Per-request *queue* deadlines
+// (SchedulingRequest::deadline_ms) are enforced server-side and come
+// back as ordinary rejected responses.
 //
 // The client is not thread-safe: callers wanting concurrency open one
 // Client per thread (the server multiplexes them all on one epoll loop).
@@ -25,7 +36,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/codec.hpp"
@@ -67,10 +80,10 @@ public:
 
   /// One round trip. Protocol-level faults that the server scopes to
   /// this request (an error frame echoing our id) come back as a
-  /// `failed` response carrying the fault text; stream-level faults
-  /// close the connection and throw NetError. A request carrying a
-  /// valid trace context goes out as a traced_solve_request (v2
-  /// tracing feature) -- the response bytes are identical either way.
+  /// `failed` response carrying the fault text; stream faults close the
+  /// connection and throw NetError. A request carrying a valid trace
+  /// context goes out as a traced_solve_request (v2 tracing feature)
+  /// -- the response bytes are identical either way.
   [[nodiscard]] service::SchedulingResponse solve(
       const service::SchedulingRequest& request);
 
@@ -99,9 +112,6 @@ public:
   /// granted kFeatureTracing.
   [[nodiscard]] std::vector<ReplAck> repl_insert_batch(
       const std::vector<ReplRecord>& records);
-  /// Payload-only convenience: every record untraced.
-  [[nodiscard]] std::vector<ReplAck> repl_insert_batch(
-      const std::vector<std::string>& payloads);
 
   /// The server's membership/replication view (medcc_clusterctl).
   [[nodiscard]] ClusterStatus cluster_status();
@@ -114,17 +124,30 @@ public:
 
 private:
   struct Deadline;  // steady-clock deadline helper (see client.cpp)
+  using OnReply = std::function<void(
+      std::size_t slot, const FrameHeader& header, std::string_view body)>;
 
+  /// The one request-reply exchange every call above goes through.
+  /// Stamps frames[i] (encoded with id 0) with a fresh request id,
+  /// connects, sends the frames as one burst and hands each reply to
+  /// `on_reply` with the index of the request it answers -- all under
+  /// one deadline. Any fault closes the connection; stream faults,
+  /// codec faults included, throw NetError.
+  void exchange(std::vector<std::string> frames, const OnReply& on_reply);
+  /// exchange() of one request whose reply must be a `type` frame;
+  /// returns it decoded by `decode`. An error frame answering it
+  /// becomes NetError naming `what`. Defined in client.cpp.
+  template <class T>
+  T call(std::string frame, FrameType type, const char* what,
+         T (*decode)(std::string_view));
   void send_bytes(std::string_view bytes, const Deadline& deadline);
-  /// Reads exactly one frame (header + body); returns the body bytes.
-  std::string read_frame(FrameHeader& header, const Deadline& deadline);
-  [[nodiscard]] service::SchedulingResponse response_from_frame(
-      const FrameHeader& header, std::string_view body,
-      std::uint64_t expected_min_id, std::uint64_t expected_max_id);
+  /// Reads until one whole frame is buffered; its body stays valid
+  /// until the next read.
+  FrameBuffer::Frame read_frame(const Deadline& deadline);
 
   ClientConfig config_;
   util::FdHandle fd_;
-  std::string inbuf_;  ///< bytes received beyond the last consumed frame
+  FrameBuffer inbuf_;  ///< received bytes not yet handed out as frames
   std::uint64_t next_id_ = 1;
 };
 
@@ -157,10 +180,6 @@ struct LoadStats {
   /// Enqueue-to-response latency of every completed request, in
   /// arrival order (unsorted).
   std::vector<double> latency_seconds;
-
-  [[nodiscard]] double throughput_rps() const;
-  /// Latency quantile, `percent` in [0, 100]; 0 when no samples.
-  [[nodiscard]] double latency_quantile(double percent) const;
 };
 
 /// Single-threaded pipelined load generator over several connections.

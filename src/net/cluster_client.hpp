@@ -9,7 +9,8 @@
 // the tenants whose arc it owned.
 //
 // Failover: when the primary fails at the transport level (connect or
-// stream fault), the client marks it down for `down_cooldown_ms`,
+// stream fault, a corrupt reply included -- every such fault is a
+// NetError from Client), the client marks it down for `down_cooldown_ms`,
 // walks the ring to the next distinct live endpoint, and retries the
 // request there. Retrying is safe because solves are deterministic and
 // server-side idempotent (a duplicate request is a cache hit). When

@@ -104,6 +104,26 @@ std::optional<FrameHeader> parse_frame_header(std::string_view buffer,
   return header;
 }
 
+void FrameBuffer::append(std::string_view bytes) {
+  bytes_.erase(0, head_);
+  head_ = 0;
+  bytes_.append(bytes);
+}
+
+std::optional<FrameBuffer::Frame> FrameBuffer::next(std::size_t max_body) {
+  const std::string_view rest = std::string_view(bytes_).substr(head_);
+  const auto header = parse_frame_header(rest, max_body);
+  if (!header || rest.size() - kHeaderSize < header->body_size)
+    return std::nullopt;
+  head_ += kHeaderSize + header->body_size;
+  return Frame{*header, rest.substr(kHeaderSize, header->body_size)};
+}
+
+void FrameBuffer::clear() {
+  bytes_.clear();
+  head_ = 0;
+}
+
 std::string encode_frame(FrameType type, std::uint64_t request_id,
                          std::string_view body) {
   MEDCC_EXPECTS(body.size() <= kDefaultMaxBody);

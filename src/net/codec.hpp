@@ -142,6 +142,32 @@ struct FrameHeader {
 [[nodiscard]] std::optional<FrameHeader> parse_frame_header(
     std::string_view buffer, std::size_t max_body = kDefaultMaxBody);
 
+/// The one reader of frames off a byte stream (server, client and load
+/// generator alike). Received bytes go in with append(); next() hands
+/// out each complete frame in order without copying it. Consumed bytes
+/// are dropped at the next append(), so a pipelined burst costs one
+/// compaction per receive rather than one per frame.
+class FrameBuffer {
+public:
+  struct Frame {
+    FrameHeader header;
+    /// Views into the buffer; valid until the next append() or clear().
+    std::string_view body;
+  };
+
+  void append(std::string_view bytes);
+  /// The next complete frame, or nullopt while bytes are missing.
+  /// Throws CodecError on a bad header, as parse_frame_header() does;
+  /// the stream is then desynchronized and the frame stays unconsumed.
+  [[nodiscard]] std::optional<Frame> next(
+      std::size_t max_body = kDefaultMaxBody);
+  void clear();
+
+private:
+  std::string bytes_;
+  std::size_t head_ = 0;  ///< start of the first unconsumed frame
+};
+
 /// Wraps `body` in a frame, stamping the version the type belongs to
 /// (1 for solve/stats/error, 2 for the cluster extension).
 [[nodiscard]] std::string encode_frame(FrameType type,

@@ -331,7 +331,7 @@ void Server::conn_readable(Reactor& r, Connection& conn) {
   for (;;) {
     const long n = util::recv_some(conn.fd.get(), chunk, sizeof(chunk));
     if (n > 0) {
-      conn.inbuf.append(chunk, static_cast<std::size_t>(n));
+      conn.inbuf.append(std::string_view(chunk, static_cast<std::size_t>(n)));
       conn.last_activity = std::chrono::steady_clock::now();
       continue;
     }
@@ -349,12 +349,9 @@ void Server::process_inbuf(Reactor& r, Connection& conn) {
   // read_paused stops frame handling too: frames already buffered wait
   // until the outbuf flushes, at which point conn_writable resumes us.
   while (conn.reading && !conn.read_paused) {
-    FrameHeader header;
+    std::optional<FrameBuffer::Frame> frame;
     try {
-      const auto parsed =
-          parse_frame_header(conn.inbuf, config_.max_frame_body);
-      if (!parsed) break;  // need more bytes
-      header = *parsed;
+      frame = conn.inbuf.next(config_.max_frame_body);
     } catch (const CodecError& e) {
       // Header-level corruption desynchronizes the stream: answer once,
       // stop reading, close after the error frame is flushed.
@@ -364,77 +361,58 @@ void Server::process_inbuf(Reactor& r, Connection& conn) {
       queue_output(r, conn, encode_error(e.code(), e.what(), 0));
       return;
     }
-    if (conn.inbuf.size() < kHeaderSize + header.body_size) break;
-    const std::string_view body =
-        std::string_view(conn.inbuf).substr(kHeaderSize, header.body_size);
-    handle_frame(r, conn, header, body);
-    conn.inbuf.erase(0, kHeaderSize + header.body_size);
+    if (!frame) break;  // need more bytes
+    handle_frame(r, conn, frame->header, frame->body);
   }
 }
 
 void Server::handle_frame(Reactor& r, Connection& conn,
                           const FrameHeader& header, std::string_view body) {
   metrics_.add(Counter::frames_in);
-  switch (header.type) {
-    case FrameType::solve_request: {
-      handle_solve(r, conn, header.request_id, body, obs::TraceContext{},
-                   obs::Tracer::now_ns());
-      return;
-    }
-    case FrameType::traced_solve_request: {
-      const std::int64_t started_ns = obs::Tracer::now_ns();
-      TracedSolveBody split;
-      try {
-        split = split_traced_solve_request(body);
-      } catch (const CodecError& e) {
-        metrics_.add(Counter::protocol_errors);
-        queue_output(r, conn,
-                     encode_error(e.code(), e.what(), header.request_id));
+  try {
+    switch (header.type) {
+      case FrameType::solve_request: {
+        handle_solve(r, conn, header.request_id, body, obs::TraceContext{},
+                     obs::Tracer::now_ns());
         return;
       }
-      metrics_.add(Counter::traced_solves);
-      // A tracerless server still answers: the prefix is pure metadata,
-      // so it is stripped and forgotten rather than refused.
-      handle_solve(
-          r, conn, header.request_id, split.inner,
-          config_.tracer != nullptr ? split.trace : obs::TraceContext{},
-          started_ns);
-      return;
-    }
-    case FrameType::trace_dump_request: {
-      std::uint32_t max_traces = 0;
-      try {
-        max_traces = decode_trace_dump_request(body);
-      } catch (const CodecError& e) {
-        metrics_.add(Counter::protocol_errors);
-        queue_output(r, conn,
-                     encode_error(e.code(), e.what(), header.request_id));
+      case FrameType::traced_solve_request: {
+        const std::int64_t started_ns = obs::Tracer::now_ns();
+        const TracedSolveBody split = split_traced_solve_request(body);
+        metrics_.add(Counter::traced_solves);
+        // A tracerless server still answers: the prefix is pure metadata,
+        // so it is stripped and forgotten rather than refused.
+        handle_solve(
+            r, conn, header.request_id, split.inner,
+            config_.tracer != nullptr ? split.trace : obs::TraceContext{},
+            started_ns);
         return;
       }
-      metrics_.add(Counter::trace_dumps);
-      // A tracerless node answers with an all-zero dump (enabled =
-      // false) so medcc_tracectl can sweep mixed clusters uniformly.
-      TraceDump dump;
-      dump.node_id = config_.node_id;
-      if (config_.tracer != nullptr) {
-        const obs::TracerSnapshot snap = config_.tracer->snapshot();
-        dump.enabled = snap.enabled;
-        dump.started = snap.started;
-        dump.sampled = snap.sampled;
-        dump.completed = snap.completed;
-        dump.dropped = snap.dropped;
-        dump.stages = snap.stages;
-        if (max_traces > 0) dump.traces = config_.tracer->recent(max_traces);
+      case FrameType::trace_dump_request: {
+        const std::uint32_t max_traces = decode_trace_dump_request(body);
+        metrics_.add(Counter::trace_dumps);
+        // A tracerless node answers with an all-zero dump (enabled =
+        // false) so medcc_tracectl can sweep mixed clusters uniformly.
+        TraceDump dump;
+        dump.node_id = config_.node_id;
+        if (config_.tracer != nullptr) {
+          const obs::TracerSnapshot snap = config_.tracer->snapshot();
+          dump.enabled = snap.enabled;
+          dump.started = snap.started;
+          dump.sampled = snap.sampled;
+          dump.completed = snap.completed;
+          dump.dropped = snap.dropped;
+          dump.stages = snap.stages;
+          if (max_traces > 0)
+            dump.traces = config_.tracer->recent(max_traces);
+        }
+        queue_output(r, conn,
+                     encode_trace_dump_response(dump, header.request_id));
+        return;
       }
-      queue_output(r, conn,
-                   encode_trace_dump_response(dump, header.request_id));
-      return;
-    }
-    case FrameType::stats_request: {
-      try {
-        const StatsFormat format = decode_stats_request(body);
+      case FrameType::stats_request: {
         std::string dump;
-        switch (format) {
+        switch (decode_stats_request(body)) {
           case StatsFormat::csv:
             dump = metrics_.dump_csv();
             break;
@@ -446,101 +424,86 @@ void Server::handle_frame(Reactor& r, Connection& conn,
             break;
         }
         queue_output(r, conn, encode_stats_response(dump, header.request_id));
-      } catch (const CodecError& e) {
-        metrics_.add(Counter::protocol_errors);
-        queue_output(r, conn,
-                     encode_error(e.code(), e.what(), header.request_id));
-      }
-      return;
-    }
-    case FrameType::hello_request: {
-      // Version/feature negotiation: grant the highest version both
-      // sides speak and the feature intersection. Stateless -- the
-      // extension frames police themselves (a v1 server never reaches
-      // here; it rejected the frame at parse).
-      Hello offer;
-      try {
-        offer = decode_hello_request(body);
-      } catch (const CodecError& e) {
-        metrics_.add(Counter::protocol_errors);
-        queue_output(r, conn,
-                     encode_error(e.code(), e.what(), header.request_id));
         return;
       }
-      metrics_.add(Counter::hellos);
-      Hello granted;
-      granted.version = std::min(offer.version, kMaxVersion);
-      const std::uint32_t features =
-          (config_.repl_apply != nullptr ? kFeatureReplication : 0u) |
-          (config_.tracer != nullptr ? kFeatureTracing : 0u);
-      granted.features = offer.features & features;
-      granted.node_id = config_.node_id;
-      queue_output(r, conn, encode_hello_response(granted, header.request_id));
-      return;
-    }
-    case FrameType::repl_insert: {
-      ReplRecord record;
-      try {
-        record = decode_repl_insert(body);
-      } catch (const CodecError& e) {
-        metrics_.add(Counter::protocol_errors);
+      case FrameType::hello_request: {
+        // Version/feature negotiation: grant the highest version both
+        // sides speak and the feature intersection. Stateless -- the
+        // extension frames police themselves (a v1 server never reaches
+        // here; it rejected the frame at parse).
+        const Hello offer = decode_hello_request(body);
+        metrics_.add(Counter::hellos);
+        Hello granted;
+        granted.version = std::min(offer.version, kMaxVersion);
+        const std::uint32_t features =
+            (config_.repl_apply != nullptr ? kFeatureReplication : 0u) |
+            (config_.tracer != nullptr ? kFeatureTracing : 0u);
+        granted.features = offer.features & features;
+        granted.node_id = config_.node_id;
         queue_output(r, conn,
-                     encode_error(e.code(), e.what(), header.request_id));
+                     encode_hello_response(granted, header.request_id));
         return;
       }
-      metrics_.add(Counter::repl_records_in);
-      ReplAck ack;
-      if (config_.repl_apply == nullptr) {
-        ack.applied = false;
-        ack.error = "replication not enabled on this node";
-      } else {
-        // Applying is a decode + sharded cache upsert -- cheap enough
-        // for the reactor thread (no solver, no disk write).
-        const std::int64_t apply_start = obs::Tracer::now_ns();
-        ack.applied = config_.repl_apply(record.payload);
-        if (config_.tracer != nullptr && record.trace.valid()) {
-          // The record rode in on the origin request's trace: account
-          // the apply against that id so one trace spans both nodes.
-          config_.tracer->record_remote(record.trace,
-                                        obs::Stage::repl_apply, apply_start,
-                                        obs::Tracer::now_ns(),
-                                        config_.node_id);
+      case FrameType::repl_insert: {
+        const ReplRecord record = decode_repl_insert(body);
+        metrics_.add(Counter::repl_records_in);
+        ReplAck ack;
+        if (config_.repl_apply == nullptr) {
+          ack.applied = false;
+          ack.error = "replication not enabled on this node";
+        } else {
+          // Applying is a decode + sharded cache upsert -- cheap enough
+          // for the reactor thread (no solver, no disk write).
+          const std::int64_t apply_start = obs::Tracer::now_ns();
+          ack.applied = config_.repl_apply(record.payload);
+          if (config_.tracer != nullptr && record.trace.valid()) {
+            // The record rode in on the origin request's trace: account
+            // the apply against that id so one trace spans both nodes.
+            config_.tracer->record_remote(record.trace,
+                                          obs::Stage::repl_apply, apply_start,
+                                          obs::Tracer::now_ns(),
+                                          config_.node_id);
+          }
+          if (!ack.applied) ack.error = "record rejected";
         }
-        if (!ack.applied) ack.error = "record rejected";
+        queue_output(r, conn, encode_repl_ack(ack, header.request_id));
+        return;
       }
-      queue_output(r, conn, encode_repl_ack(ack, header.request_id));
-      return;
-    }
-    case FrameType::cluster_status_request: {
-      ClusterStatus status;
-      if (config_.cluster_status != nullptr) {
-        status = config_.cluster_status();
-      } else {
-        // A server without a cluster layer is a one-replica cluster.
-        status.node_id = config_.node_id;
-        status.protocol_version = kMaxVersion;
+      case FrameType::cluster_status_request: {
+        ClusterStatus status;
+        if (config_.cluster_status != nullptr) {
+          status = config_.cluster_status();
+        } else {
+          // A server without a cluster layer is a one-replica cluster.
+          status.node_id = config_.node_id;
+          status.protocol_version = kMaxVersion;
+        }
+        queue_output(r, conn,
+                     encode_cluster_status_response(status, header.request_id));
+        return;
       }
-      queue_output(r, conn,
-                   encode_cluster_status_response(status, header.request_id));
-      return;
+      case FrameType::solve_response:
+      case FrameType::stats_response:
+      case FrameType::error:
+      case FrameType::hello_response:
+      case FrameType::repl_ack:
+      case FrameType::cluster_status_response:
+      case FrameType::trace_dump_response: {
+        // Server-to-client frames arriving at the server: protocol abuse.
+        metrics_.add(Counter::protocol_errors);
+        conn.reading = false;
+        conn.close_after_flush = true;
+        queue_output(r, conn,
+                     encode_error(WireError::unexpected_frame,
+                                  "client sent a server-side frame type",
+                                  header.request_id));
+        return;
+      }
     }
-    case FrameType::solve_response:
-    case FrameType::stats_response:
-    case FrameType::error:
-    case FrameType::hello_response:
-    case FrameType::repl_ack:
-    case FrameType::cluster_status_response:
-    case FrameType::trace_dump_response: {
-      // Server-to-client frames arriving at the server: protocol abuse.
-      metrics_.add(Counter::protocol_errors);
-      conn.reading = false;
-      conn.close_after_flush = true;
-      queue_output(r, conn,
-                   encode_error(WireError::unexpected_frame,
-                                "client sent a server-side frame type",
-                                header.request_id));
-      return;
-    }
+  } catch (const CodecError& e) {
+    // Bad body, sound framing: answer this request, keep the stream.
+    metrics_.add(Counter::protocol_errors);
+    queue_output(r, conn, encode_error(e.code(), e.what(), header.request_id));
   }
 }
 
@@ -588,22 +551,14 @@ void Server::handle_solve(Reactor& r, Connection& conn,
     queue_output(r, conn, encode_solve_response(response, request_id));
     return;
   }
-  service::SchedulingRequest request;
-  try {
-    // A budget sweep repeats one instance's bytes: the intern table
-    // hands back the instance (and, worker-side, its print) decoded
-    // from the same bytes before.
-    InternedRequest decoded =
-        decode_solve_request_interned(inner, service_.instance_table());
-    metrics_.add(decoded.intern_hit ? Counter::instance_intern_hits
-                                    : Counter::instance_intern_misses);
-    request = std::move(decoded.request);
-  } catch (const CodecError& e) {
-    // Bad body, sound framing: report and keep the stream alive.
-    metrics_.add(Counter::protocol_errors);
-    queue_output(r, conn, encode_error(e.code(), e.what(), request_id));
-    return;
-  }
+  // A budget sweep repeats one instance's bytes: the intern table hands
+  // back the instance (and, worker-side, its print) decoded from the
+  // same bytes before. A bad body throws to handle_frame.
+  InternedRequest decoded =
+      decode_solve_request_interned(inner, service_.instance_table());
+  metrics_.add(decoded.intern_hit ? Counter::instance_intern_hits
+                                  : Counter::instance_intern_misses);
+  service::SchedulingRequest request = std::move(decoded.request);
   if (tracer != nullptr && trace.valid()) {
     request.trace = trace;
     request.trace_buffer = tracer->open(trace);

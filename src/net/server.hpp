@@ -10,8 +10,9 @@
 // per-connection state needs no locking -- exactly the single-reactor
 // discipline, replicated N times.
 //
-// Incoming bytes accumulate per connection until a full frame is
-// present; solve requests are decoded and handed to
+// Incoming bytes accumulate in each connection's FrameBuffer (the one
+// frame reader in codec.hpp), which hands out every complete frame in
+// order; solve requests are decoded and handed to
 // SchedulingService::submit_async, so admission control, tenant
 // quotas, queue deadlines, memoization and metrics all apply unchanged
 // to network traffic. Completions are posted -- from whichever worker
@@ -42,10 +43,12 @@
 // syscall, and drained chunks return to the reactor's pool.
 //
 // Error handling follows the frame/stream split: a malformed *body*
-// (frame boundaries still sound) answers with an error frame and keeps
-// the connection; a malformed *header* (magic/version/type/length)
-// desynchronizes the byte stream, so the server sends one error frame
-// and closes after flushing. Idle connections are closed after
+// (frame boundaries still sound) answers with an error frame echoing
+// the request id and keeps the connection -- handle_frame turns every
+// CodecError its dispatch throws into that one reply; a malformed
+// *header* (magic/version/type/length) desynchronizes the byte stream,
+// so the server sends one error frame (id 0) and closes after
+// flushing. Idle connections are closed after
 // ServerConfig::idle_timeout_ms without traffic.
 //
 // stop() is graceful: the listener closes immediately, queued frames
@@ -157,7 +160,7 @@ private:
   struct Connection {
     util::FdHandle fd;
     std::uint64_t serial = 0;
-    std::string inbuf;
+    FrameBuffer inbuf;
     /// Unflushed output: pooled chunks, front partially sent.
     std::deque<std::string> outq;
     std::size_t out_head = 0;   ///< bytes of outq.front() already sent
@@ -227,6 +230,7 @@ private:
   void process_inbuf(Reactor& r, Connection& conn);
   void conn_writable(Reactor& r, Connection& conn);
   /// Handles one complete frame; may queue output or dispatch a solve.
+  /// A body that fails to decode is answered with an error frame.
   void handle_frame(Reactor& r, Connection& conn, const FrameHeader& header,
                     std::string_view body);
   /// Shared tail of solve_request and traced_solve_request: wire-cache

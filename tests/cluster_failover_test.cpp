@@ -1,8 +1,10 @@
 // Failover across a 3-replica in-process cluster: tenant-sharded
 // ClusterClient traffic, one replica hard-stopped while load is
 // running, zero lost responses, and byte-identical results from the
-// survivors' replicated caches. The multi-threaded kill-mid-load test
-// doubles as the TSan stress for the cluster subsystem.
+// survivors' replicated caches. A replica that answers with a corrupt
+// frame is failed over like any other stream fault. The multi-threaded
+// kill-mid-load test doubles as the TSan stress for the cluster
+// subsystem.
 #include "net/cluster_client.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 
 #include "cluster/config.hpp"
 #include "cluster/replicator.hpp"
+#include "fake_peer.hpp"
 #include "net/endpoint.hpp"
 #include "net/server.hpp"
 #include "sched/instance.hpp"
@@ -188,6 +191,34 @@ TEST(ClusterFailover, SurvivorServesByteIdenticalReplicatedHit) {
     ASSERT_TRUE(again.ok());
     expect_identical(again, primed);
   }
+}
+
+TEST(ClusterFailover, CorruptReplyFromPrimaryFailsOverToSurvivor) {
+  // The tenant's primary is a scripted replica that answers with a
+  // frame whose header is garbage: a stream fault like any other, so
+  // the ring walk must carry the request to the real replica.
+  medcc::test::FakePeer corrupt(std::string(medcc::net::kHeaderSize, 'X'));
+  SchedulingService service({.threads = 1});
+  Server survivor(service);
+  ClusterClientConfig config;
+  config.endpoints = {{"127.0.0.1", corrupt.port()},
+                      {"127.0.0.1", survivor.port()}};
+  config.request_timeout_ms = 10000.0;
+  ClusterClient client(config);
+  std::string tenant;
+  for (int i = 0; tenant.empty(); ++i)
+    if (client.primary_index("tenant-" + std::to_string(i)) == 0)
+      tenant = "tenant-" + std::to_string(i);
+
+  const auto response =
+      client.solve(request_for(example_instance(), 57.0, tenant));
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(corrupt.answered(), 1u);
+  const auto stats = client.stats();
+  EXPECT_EQ(stats[0].errors, 1u);
+  EXPECT_TRUE(stats[0].down);
+  EXPECT_EQ(stats[1].ok, 1u);
+  EXPECT_EQ(stats[1].failovers, 1u);
 }
 
 TEST(ClusterFailover, KillMidLoadLosesNoResponses) {

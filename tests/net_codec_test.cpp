@@ -1,6 +1,7 @@
 // Robustness and round-trip correctness of the MED-CC wire codec:
 // frame-header parsing against truncation, bad magic/version/type and
-// oversized length prefixes; decode(encode(x)) field-identical (doubles
+// oversized length prefixes; the FrameBuffer stream reader fed whole,
+// byte by byte and in random chunks; decode(encode(x)) field-identical (doubles
 // compared bit-for-bit) for handcrafted and randomized instances;
 // non-finite budget, deadline and instance numbers rejected as
 // bad_body; byte chop/flip and random-bytes fuzz loops over every v1 and
@@ -10,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -205,6 +208,94 @@ TEST(NetCodec, OversizedLengthPrefixRejectedBeforeBuffering) {
     FAIL() << "expected CodecError";
   } catch (const CodecError& err) {
     EXPECT_EQ(err.code(), WireError::oversized_frame);
+  }
+}
+
+// -- frame buffer ---------------------------------------------------------
+
+/// Eight frames of mixed types and sizes, as one pipelined byte stream.
+std::string mixed_stream() {
+  SchedulingResponse response;
+  response.status = ResponseStatus::rejected;
+  response.reject_reason = RejectReason::queue_full;
+  medcc::net::Hello hello;
+  hello.node_id = "node-a";
+  return medcc::net::encode_solve_request(example_request(), 1) +
+         medcc::net::encode_stats_request(StatsFormat::csv, 2) +
+         medcc::net::encode_solve_response(response, 3) +
+         medcc::net::encode_error(WireError::bad_body, "no such thing", 4) +
+         medcc::net::encode_hello_request(hello, 5) +
+         medcc::net::encode_repl_insert("record-bytes", 6) +
+         medcc::net::encode_cluster_status_request(7) +
+         medcc::net::encode_stats_response("", 8);
+}
+
+/// One frame as the buffer handed it out, detached from its storage.
+struct SeenFrame {
+  FrameType type;
+  std::uint64_t id;
+  std::string body;
+  bool operator==(const SeenFrame&) const = default;
+};
+
+/// Feeds `stream` to a FrameBuffer in chunks of the sizes `chunk` picks
+/// and drains every complete frame after each append.
+std::vector<SeenFrame> read_in_chunks(
+    std::string_view stream, const std::function<std::size_t()>& chunk) {
+  medcc::net::FrameBuffer buffer;
+  std::vector<SeenFrame> seen;
+  std::size_t at = 0;
+  while (at < stream.size()) {
+    const std::size_t n = std::min(chunk(), stream.size() - at);
+    buffer.append(stream.substr(at, n));
+    at += n;
+    while (const auto frame = buffer.next())
+      seen.push_back({frame->header.type, frame->header.request_id,
+                      std::string(frame->body)});
+  }
+  EXPECT_FALSE(buffer.next().has_value());
+  return seen;
+}
+
+TEST(NetCodec, FrameBufferYieldsTheSameFramesHoweverTheBytesArrive) {
+  const std::string stream = mixed_stream();
+  const auto whole = read_in_chunks(stream, [&] { return stream.size(); });
+  ASSERT_EQ(whole.size(), 8u);
+  for (std::size_t i = 0; i < whole.size(); ++i)
+    EXPECT_EQ(whole[i].id, i + 1);
+  EXPECT_EQ(whole[0].type, FrameType::solve_request);
+  EXPECT_EQ(medcc::net::decode_solve_request(whole[0].body).tenant,
+            "tenant-a");
+  EXPECT_EQ(whole[7].type, FrameType::stats_response);
+
+  EXPECT_EQ(read_in_chunks(stream, [] { return std::size_t{1}; }), whole);
+  medcc::util::Prng rng(2024);
+  EXPECT_EQ(read_in_chunks(stream,
+                           [&] {
+                             return static_cast<std::size_t>(
+                                 rng.uniform_int(1, 300));
+                           }),
+            whole);
+}
+
+TEST(NetCodec, FrameBufferStopsAtABadHeaderAfterTheGoodFrames) {
+  std::string stream = mixed_stream();
+  stream.resize(stream.size() -
+                medcc::net::encode_stats_response("", 8).size());
+  stream += std::string(medcc::net::kHeaderSize, 'X');  // bad magic
+  for (const std::size_t chunk : {stream.size(), std::size_t{1}}) {
+    medcc::net::FrameBuffer buffer;
+    std::size_t frames = 0;
+    try {
+      for (std::size_t at = 0; at < stream.size(); at += chunk) {
+        buffer.append(std::string_view(stream).substr(at, chunk));
+        while (buffer.next()) ++frames;
+      }
+      FAIL() << "expected CodecError";
+    } catch (const CodecError& err) {
+      EXPECT_EQ(err.code(), WireError::bad_magic);
+    }
+    EXPECT_EQ(frames, 7u);
   }
 }
 

@@ -3,8 +3,10 @@
 // over 127.0.0.1 -- single solves byte-identical to in-process
 // submission, pipelined batches answered out of order, queue-deadline
 // expiry and tenant-quota rejection crossing the wire intact, stats
-// frames, malformed-byte handling on a raw socket, and graceful
-// shutdown draining an in-flight solve.
+// frames, malformed-byte handling on a raw socket, a pipelined burst
+// answered alike whether sent whole or byte by byte, the client's v1
+// hello downgrade against a scripted peer, and graceful shutdown
+// draining an in-flight solve.
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "expr/instance_gen.hpp"
+#include "fake_peer.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "sched/bounds.hpp"
@@ -482,6 +485,13 @@ public:
     ASSERT_TRUE(medcc::util::send_all(fd_.get(), bytes.data(), bytes.size()));
   }
 
+  /// Sends `bytes` one byte per write with Nagle off, so the frames
+  /// reach the server in many small pieces.
+  void send_bytewise(std::string_view bytes) {
+    medcc::util::set_tcp_nodelay(fd_.get());
+    for (std::size_t i = 0; i < bytes.size(); ++i) send(bytes.substr(i, 1));
+  }
+
   /// Reads one full frame (blocking); returns false on orderly EOF.
   bool read_frame(FrameHeader& header, std::string& body) {
     for (;;) {
@@ -587,6 +597,62 @@ TEST(NetServer, WriteBackpressurePausesReadingAndRecovers) {
     seen[header.request_id] = true;
   }
   EXPECT_GE(service.metrics().value(Counter::backpressure_paused), 1u);
+}
+
+TEST(NetServer, PipelinedBurstAnswersAlikeWholeOrByteByByte) {
+  // Four solves whose answers the wire cache already holds (memoized as
+  // a served solve would have left them) interleaved with four stats
+  // requests. Every answer is then produced on the reactor thread in
+  // frame order, so the bytes per id depend only on the frames, not on
+  // where the stream was cut.
+  const auto inst = example_instance();
+  SchedulingService solver({.threads = 1});
+  std::vector<std::pair<std::string, std::string>> memo;
+  std::string burst;
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    if (id % 2 == 0) {
+      burst +=
+          medcc::net::encode_stats_request(medcc::net::StatsFormat::text, id);
+      continue;
+    }
+    const SchedulingRequest request =
+        request_for(inst, 50.0 + static_cast<double>(id));
+    SchedulingResponse response = solver.submit(request).get();
+    ASSERT_TRUE(response.ok()) << response.error;
+    response.queue_delay_ms = 0.0;
+    response.solve_ms = 0.0;
+    response.cache = medcc::service::CacheOutcome::hit_exact;
+    const std::string frame = medcc::net::encode_solve_request(request, id);
+    memo.emplace_back(frame.substr(medcc::net::kHeaderSize),
+                      medcc::net::encode_solve_response(response, 0));
+    burst += frame;
+  }
+
+  const auto answers = [&](bool bytewise) {
+    SchedulingService service({.threads = 1});
+    for (const auto& [body, frame] : memo)
+      service.wire_cache()->insert(std::string_view(body), frame);
+    Server server(service);
+    RawConn conn(server.port());
+    if (bytewise)
+      conn.send_bytewise(burst);
+    else
+      conn.send(burst);
+    std::map<std::uint64_t, std::string> by_id;
+    for (int i = 0; i < 8; ++i) {
+      FrameHeader header;
+      std::string body;
+      EXPECT_TRUE(conn.read_frame(header, body));
+      by_id[header.request_id] =
+          medcc::net::encode_frame(header.type, header.request_id, body);
+    }
+    EXPECT_EQ(service.metrics().value(Counter::wire_fastpath_hits), 4u);
+    return by_id;
+  };
+  const auto whole = answers(false);
+  ASSERT_EQ(whole.size(), 8u);
+  EXPECT_EQ(whole.begin()->first, 1u);
+  EXPECT_EQ(answers(true), whole);
 }
 
 // -- wire-cache fast path --------------------------------------------------
@@ -869,6 +935,29 @@ TEST(NetServer, HelloNegotiatesVersionAndFeatures) {
   EXPECT_EQ(v1_client.hello(offer).version, 1u);
 }
 
+TEST(NetServer, HelloToAV1PeerDowngradesAndNextCallReconnects) {
+  // A v1 node cannot frame the v2 hello: it answers with a stream-level
+  // error frame (request id 0) and closes the connection.
+  medcc::test::FakePeer v1_peer(medcc::net::encode_error(
+      WireError::bad_frame_type, "wire: unknown frame type 6", 0));
+  ClientConfig config;
+  config.port = v1_peer.port();
+  config.request_timeout_ms = 10000.0;
+  Client client(config);
+  medcc::net::Hello offer;
+  offer.features = medcc::net::kFeatureReplication;
+
+  const auto granted = client.hello(offer);
+  EXPECT_EQ(granted.version, medcc::net::kVersion);
+  EXPECT_EQ(granted.features, 0u);
+  EXPECT_FALSE(client.connected());
+
+  const auto again = client.hello(offer);
+  EXPECT_EQ(again.version, medcc::net::kVersion);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(v1_peer.answered(), 2u);  // one connection per call
+}
+
 TEST(NetServer, ReplInsertRestoresEntryServedByteIdentically) {
   const auto inst = example_instance();
   // Origin: solve once, capture the replication payload.
@@ -893,7 +982,7 @@ TEST(NetServer, ReplInsertRestoresEntryServedByteIdentically) {
   Server server(receiver, receiver_config);
   Client client(client_for(server));
 
-  const auto acks = client.repl_insert_batch({payload});
+  const auto acks = client.repl_insert_batch({{payload, {}}});
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_TRUE(acks[0].applied) << acks[0].error;
   EXPECT_EQ(receiver.metrics().value(Counter::repl_records_in), 1u);
@@ -908,7 +997,7 @@ TEST(NetServer, ReplInsertRestoresEntryServedByteIdentically) {
   expect_bits_equal(hit.result.eval.cost, solved.result.eval.cost);
 
   // Garbage records are acked applied=false, stream intact.
-  const auto bad = client.repl_insert_batch({"not a cache record"});
+  const auto bad = client.repl_insert_batch({{"not a cache record", {}}});
   ASSERT_EQ(bad.size(), 1u);
   EXPECT_FALSE(bad[0].applied);
   EXPECT_FALSE(bad[0].error.empty());
@@ -917,7 +1006,7 @@ TEST(NetServer, ReplInsertRestoresEntryServedByteIdentically) {
   SchedulingService no_repl({.threads = 1});
   Server no_repl_server(no_repl);
   Client no_repl_client(client_for(no_repl_server));
-  const auto refused = no_repl_client.repl_insert_batch({payload});
+  const auto refused = no_repl_client.repl_insert_batch({{payload, {}}});
   ASSERT_EQ(refused.size(), 1u);
   EXPECT_FALSE(refused[0].applied);
 }

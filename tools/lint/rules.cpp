@@ -6,7 +6,8 @@
 //
 // Token-stream rules (new): mutable-field-near-mutex-without-guarded-by,
 // detached-thread, lock-guard-unused, raw-fopen, catch-by-value,
-// large-value-param, legacy-cpm-in-library, hand-rolled-le.
+// large-value-param, legacy-cpm-in-library, hand-rolled-le,
+// frame-parse-outside-codec.
 #include <algorithm>
 #include <cctype>
 #include <set>
@@ -901,6 +902,38 @@ class HandRolledLeRule final : public Rule {
   }
 };
 
+// ---------------------------------------------------------------------------
+// frame-parse-outside-codec
+
+class FrameParseOutsideCodecRule final : public Rule {
+ public:
+  [[nodiscard]] std::string id() const override {
+    return "frame-parse-outside-codec";
+  }
+
+  [[nodiscard]] std::string rationale() const override {
+    return "net::FrameBuffer is the one reader of frames off a byte "
+           "stream; a parse_frame_header call elsewhere in the library is "
+           "how a second, hand-rolled frame loop would creep back";
+  }
+
+  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+    // The codec defines the parser and the FrameBuffer built on it.
+    if (path_contains(file.path, "net/codec.")) return;
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+      if (!is_ident(toks[i], "parse_frame_header") ||
+          !is_punct(toks[i + 1], '('))
+        continue;
+      out.push_back(Finding{
+          file.path.string(), toks[i].line, id(),
+          "'parse_frame_header' reads frames outside src/net/codec",
+          "append received bytes to a net::FrameBuffer and take complete "
+          "frames from its next()"});
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> make_all_rules() {
@@ -919,6 +952,7 @@ std::vector<std::unique_ptr<Rule>> make_all_rules() {
   rules.push_back(std::make_unique<LargeValueParamRule>());
   rules.push_back(std::make_unique<LegacyCpmInLibraryRule>());
   rules.push_back(std::make_unique<HandRolledLeRule>());
+  rules.push_back(std::make_unique<FrameParseOutsideCodecRule>());
   return rules;
 }
 
