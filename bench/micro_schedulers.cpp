@@ -9,14 +9,16 @@
 //    wall-clock solve times per scheduler (plus per-solver rows for the
 //    makespan-probing baselines: GAIN2, LOSS2 -- also over Table IV size
 //    10's 20 budget levels -- the deadline solvers and a small exhaustive
-//    search), plus the paper's 20-level CG + GAIN3 budget
-//    sweep solved level by level against expr::sweep_budgets (sweep20,
-//    reported only), plus a workflow's first touch on the serving path:
-//    decoding a solve_request body and printing the decoded instance
-//    (first_touch, reported only). --json writes the numbers as a
-//    machine-readable report (uploaded as a CI artifact); --smoke
-//    shrinks the workload so the binary doubles as a ctest check, and
-//    fails if the kernel is not at least 3x faster than the legacy path.
+//    search), plus the paper's 20-level budget sweep solved level by
+//    level against the solvers' sweeps -- CG + GAIN3 through
+//    expr::sweep_budgets, GAIN2 and LOSS2 through Gain2Sweep and
+//    Loss2Sweep (sweep20, reported only), plus a workflow's first touch
+//    on the serving path: decoding a solve_request body and printing the
+//    decoded instance (first_touch, reported only). --json writes the
+//    numbers as a machine-readable report (uploaded as a CI artifact);
+//    --smoke shrinks the workload so the binary doubles as a ctest check,
+//    and fails if the kernel is not at least 3x faster than the legacy
+//    path.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -356,12 +358,14 @@ SolverReport time_solvers(const medcc::sched::Instance& inst, bool smoke) {
   return report;
 }
 
-/// One instance's 20-level CG + GAIN3 sweep, median of `reps`: the
-/// one-shot critical_greedy + gain3 at every level against
-/// expr::sweep_budgets, which answers every level from one CgSweep and
-/// one Gain3Sweep. Wall-clock, reported only.
+/// One instance's 20 levels under one solver (or the paper's CG + GAIN3
+/// pair), median of `reps`: the one-shot solver at every level against
+/// the answers of its sweep, built once per rep inside the timing
+/// (expr::sweep_budgets for CG + GAIN3, which answers from one CgSweep
+/// and one Gain3Sweep). Wall-clock, reported only.
 struct SweepReport {
   std::string instance;
+  std::string solver;
   std::size_t modules = 0;
   std::size_t types = 0;
   std::size_t reps = 0;
@@ -370,44 +374,81 @@ struct SweepReport {
   double speedup = 0.0;
 };
 
-SweepReport time_sweep(std::string name, const medcc::sched::Instance& inst,
-                       bool smoke) {
+/// `per_level` and `swept` each answer all of `budgets` and return the
+/// sum of the MEDs.
+template <typename PerLevel, typename Swept>
+SweepReport time_sweep(const std::string& name, std::string solver,
+                       const medcc::sched::Instance& inst, bool smoke,
+                       PerLevel&& per_level, Swept&& swept) {
   SweepReport report;
-  report.instance = std::move(name);
+  report.instance = name;
+  report.solver = std::move(solver);
   report.modules = inst.module_count();
   report.types = inst.type_count();
   report.reps = smoke ? 3 : 9;
-  const auto budgets =
-      medcc::sched::budget_levels(medcc::sched::cost_bounds(inst), 20);
-  report.per_level_ms = median_ms(report.reps, [&] {
-    double med = 0.0;
-    for (const double budget : budgets)
-      med += medcc::sched::critical_greedy(inst, budget).eval.med +
-             medcc::sched::gain3(inst, budget).eval.med;
-    return med;
-  });
-  report.sweep_ms = median_ms(report.reps, [&] {
-    return medcc::expr::sweep_budgets(inst, 20);
-  });
+  report.per_level_ms = median_ms(report.reps, per_level);
+  report.sweep_ms = median_ms(report.reps, swept);
   report.speedup =
       report.sweep_ms > 0.0 ? report.per_level_ms / report.sweep_ms : 0.0;
   return report;
 }
 
+/// The CG + GAIN3, GAIN2 and LOSS2 rows of one instance.
+void time_sweeps_of(const std::string& name,
+                    const medcc::sched::Instance& inst, bool smoke,
+                    std::vector<SweepReport>& reports) {
+  using medcc::sched::GainLossVariant;
+  const auto budgets =
+      medcc::sched::budget_levels(medcc::sched::cost_bounds(inst), 20);
+  const auto answer_all = [&](const medcc::sched::BudgetSweep& sweep) {
+    double med = 0.0;
+    for (const double budget : budgets) med += sweep.answer(budget).eval.med;
+    return med;
+  };
+  reports.push_back(time_sweep(
+      name, "cg+gain3", inst, smoke,
+      [&] {
+        double med = 0.0;
+        for (const double budget : budgets)
+          med += medcc::sched::critical_greedy(inst, budget).eval.med +
+                 medcc::sched::gain3(inst, budget).eval.med;
+        return med;
+      },
+      [&] { return medcc::expr::sweep_budgets(inst, 20); }));
+  reports.push_back(time_sweep(
+      name, "gain2", inst, smoke,
+      [&] {
+        double med = 0.0;
+        for (const double budget : budgets)
+          med += medcc::sched::gain(inst, budget, GainLossVariant::V2).eval.med;
+        return med;
+      },
+      [&] { return answer_all(medcc::sched::Gain2Sweep(inst)); }));
+  reports.push_back(time_sweep(
+      name, "loss2", inst, smoke,
+      [&] {
+        double med = 0.0;
+        for (const double budget : budgets)
+          med += medcc::sched::loss(inst, budget, GainLossVariant::V2).eval.med;
+        return med;
+      },
+      [&] { return answer_all(medcc::sched::Loss2Sweep(inst)); }));
+}
+
 std::vector<SweepReport> time_sweeps(bool smoke) {
   std::vector<SweepReport> reports;
   medcc::util::Prng rng(20);
-  reports.push_back(time_sweep(
+  time_sweeps_of(
       "table4_size20",
-      medcc::expr::make_instance(medcc::expr::table4_sizes()[19], rng),
-      smoke));
+      medcc::expr::make_instance(medcc::expr::table4_sizes()[19], rng), smoke,
+      reports);
   auto wf = medcc::workflow::epigenomics_like(24, 4, rng);
   auto catalog =
       medcc::cloud::random_linear_catalog(6, 12, rng, 1.0, 1.0, 0.25);
-  reports.push_back(time_sweep(
+  time_sweeps_of(
       "epigenomics_24x4",
       medcc::sched::Instance::from_model(std::move(wf), std::move(catalog)),
-      smoke));
+      smoke, reports);
   return reports;
 }
 
@@ -531,8 +572,9 @@ void write_json(const std::string& path, bool smoke,
       << "  \"sweep20\": [\n";
   for (std::size_t k = 0; k < sweeps.size(); ++k) {
     const SweepReport& r = sweeps[k];
-    out << "    {\"instance\": \"" << r.instance << "\", \"modules\": "
-        << r.modules << ", \"types\": " << r.types << ", \"reps\": " << r.reps
+    out << "    {\"instance\": \"" << r.instance << "\", \"solver\": \""
+        << r.solver << "\", \"modules\": " << r.modules
+        << ", \"types\": " << r.types << ", \"reps\": " << r.reps
         << ", \"per_level_ms\": " << r.per_level_ms
         << ", \"sweep_ms\": " << r.sweep_ms << ", \"speedup\": " << r.speedup
         << "}" << (k + 1 < sweeps.size() ? "," : "") << "\n";
@@ -593,10 +635,10 @@ int run_handtimed(const std::string& json_path, bool smoke) {
             << "gain2=" << probes.t4s10_gain2_sweep_ms
             << " ms, loss2=" << probes.t4s10_loss2_sweep_ms << " ms\n";
   for (const SweepReport& r : sweeps)
-    std::cout << "sweep20 " << r.instance << " (m=" << r.modules
-              << ", median of " << r.reps << "): per-level cg+gain3 "
-              << r.per_level_ms << " ms, sweep_budgets " << r.sweep_ms
-              << " ms (" << r.speedup << "x)\n";
+    std::cout << "sweep20 " << r.instance << " " << r.solver
+              << " (m=" << r.modules << ", median of " << r.reps
+              << "): per-level " << r.per_level_ms << " ms, swept "
+              << r.sweep_ms << " ms (" << r.speedup << "x)\n";
   for (const FirstTouchReport& r : touches)
     std::cout << "first touch " << r.instance << " (m=" << r.modules
               << ", |Ew|=" << r.edges << ", median of " << r.reps

@@ -27,10 +27,29 @@ struct Move {
   double dc = 0.0;
 };
 
-[[noreturn]] void throw_below_cmin(double budget, double cmin) {
+[[noreturn]] void throw_below_cmin(const char* who, double budget,
+                                   double cmin) {
   std::ostringstream os;
-  os << "gain: budget " << budget << " below least-cost cost " << cmin;
+  os << who << ": budget " << budget << " below least-cost cost " << cmin;
   throw Infeasible(os.str());
+}
+
+/// Evaluates and verifies the final schedule of a `who` run under
+/// `budget`.
+Result finish(const Instance& inst, Result&& result, double budget,
+              const char* who) {
+  result.eval = evaluate(inst, result.schedule);
+  MEDCC_ENSURES(result.eval.cost <= budget + 1e-6 * std::max(1.0, budget));
+  detail::check_schedule_invariants(inst, result.schedule, result.eval, budget,
+                                    detail::kUnconstrained, who);
+  return std::move(result);
+}
+
+/// Applies `move` to a run's schedule and running cost.
+void apply(const Reassignment& move, Result& result, double& cost) {
+  result.schedule.type_of[move.module] = move.type;
+  cost += move.dc;
+  ++result.iterations;
 }
 
 /// Calls fn(j) for each candidate target type of task i at type `cur`:
@@ -199,6 +218,92 @@ std::optional<Move> best_loss2(const Instance& inst, const Schedule& schedule,
   return best;
 }
 
+/// GAIN's dynamic loop (variants 1 and 2) from `result.schedule` (cost
+/// `cost`); ws keeps the current schedule's durations. With a budget it
+/// stops once the budget left is within eps or no affordable move
+/// improves; unbounded (nullopt) it stops only when no move improves.
+/// `moves` (optional) records each reassignment.
+void gain_loop(const Instance& inst, GainLossVariant variant,
+               GainMoveSet move_set, std::optional<double> budget,
+               Result& result, double& cost, std::vector<Reassignment>* moves) {
+  const auto computing = inst.workflow().computing_modules();
+  const double eps = budget ? cost_eps(*budget) : 0.0;
+  const dag::FlatDag& flat = inst.flat_dag();
+  dag::CpmWorkspace ws;
+  dag::makespan_into(flat, durations(inst, result.schedule), ws);
+  std::vector<Candidate> cands;
+  for (;;) {
+    double max_dc = kInf;
+    if (budget) {
+      const double left = *budget - cost;
+      if (left <= eps) break;
+      max_dc = left + eps;
+    }
+    std::optional<Move> best;
+    if (variant == GainLossVariant::V2) {
+      best = best_gain2(inst, move_set, result.schedule, computing, max_dc,
+                        flat, ws, cands);
+    } else {
+      for (NodeId i : computing) {
+        const std::size_t cur = result.schedule.type_of[i];
+        for_each_target(inst, move_set, i, cur, [&](std::size_t j) {
+          const double dc = inst.cost(i, j) - inst.cost(i, cur);
+          if (dc > max_dc) return;
+          const double dt = inst.time(i, cur) - inst.time(i, j);
+          if (dt <= 0.0) return;
+          const double w = dc <= 0.0 ? kInf : dt / dc;
+          if (!best || w > best->weight ||
+              (w == best->weight && dt > best->dt))
+            best = Move{i, j, w, dt, dc};
+        });
+      }
+    }
+    if (!best) break;
+    const Reassignment move{best->module, best->type, best->dc};
+    apply(move, result, cost);
+    ws.weights[move.module] = inst.time(move.module, move.type);
+    if (moves != nullptr) moves->push_back(move);
+  }
+}
+
+/// LOSS's dynamic loop (every variant) from `result.schedule` (cost
+/// `cost`): downgrades while the cost exceeds budget + eps. `moves`
+/// (optional) records each reassignment.
+void loss_loop(const Instance& inst, GainLossVariant variant, double budget,
+               Result& result, double& cost, std::vector<Reassignment>* moves) {
+  const auto computing = inst.workflow().computing_modules();
+  const double eps = cost_eps(budget);
+  // V2 keeps the current schedule's durations in ws.weights.
+  const dag::FlatDag& flat = inst.flat_dag();
+  dag::CpmWorkspace ws;
+  dag::makespan_into(flat, durations(inst, result.schedule), ws);
+  std::vector<Candidate> cands;
+  while (cost > budget + eps) {
+    std::optional<Move> best;
+    if (variant == GainLossVariant::V2) {
+      best = best_loss2(inst, result.schedule, computing, flat, ws, cands);
+    } else {
+      for (NodeId i : computing) {
+        const std::size_t cur = result.schedule.type_of[i];
+        for (std::size_t j = 0; j < inst.type_count(); ++j) {
+          if (j == cur) continue;
+          const double saving = inst.cost(i, cur) - inst.cost(i, j);
+          if (saving <= 0.0) continue;
+          const double loss_t = inst.time(i, j) - inst.time(i, cur);
+          const double w = loss_t <= 0.0 ? -kInf : loss_t / saving;
+          if (loss_beats(w, saving, best))
+            best = Move{i, j, w, loss_t, -saving};
+        }
+      }
+    }
+    MEDCC_ENSURES(best.has_value());  // guaranteed while cost > Cmin
+    const Reassignment move{best->module, best->type, best->dc};
+    apply(move, result, cost);
+    ws.weights[move.module] = inst.time(move.module, move.type);
+    if (moves != nullptr) moves->push_back(move);
+  }
+}
+
 }  // namespace
 
 Gain3Sweep::Gain3Sweep(const Instance& inst, GainMoveSet move_set)
@@ -223,105 +328,83 @@ Gain3Sweep::Gain3Sweep(const Instance& inst, GainMoveSet move_set)
                    });
   order_.reserve(moves.size());
   for (const Move& mv : moves)
-    order_.push_back(Step{mv.module, mv.type, mv.dc});
+    order_.push_back(Reassignment{mv.module, mv.type, mv.dc});
 }
 
 Result Gain3Sweep::answer(double budget) const {
-  if (budget < cmin_) throw_below_cmin(budget, cmin_);
+  if (budget < cmin_) throw_below_cmin("gain", budget, cmin_);
   Result result;
   result.schedule = start_;
   double current_cost = cmin_;
   const double eps = cost_eps(budget);
   // Each task is reassigned at most once, in descending weight order.
   std::vector<bool> moved(inst_.module_count(), false);
-  for (const Step& step : order_) {
+  for (const Reassignment& step : order_) {
     if (moved[step.module]) continue;
     if (step.dc > budget - current_cost + eps) continue;
-    result.schedule.type_of[step.module] = step.type;
-    current_cost += step.dc;
+    apply(step, result, current_cost);
     moved[step.module] = true;
-    ++result.iterations;
   }
-  result.eval = evaluate(inst_, result.schedule);
-  detail::check_schedule_invariants(inst_, result.schedule, result.eval,
-                                    budget, detail::kUnconstrained, "gain");
-  return result;
+  return finish(inst_, std::move(result), budget, "gain");
+}
+
+Gain2Sweep::Gain2Sweep(const Instance& inst, GainMoveSet move_set)
+    : inst_(inst),
+      move_set_(move_set),
+      start_(least_cost_schedule(inst)),
+      cmin_(total_cost(inst, start_)) {
+  Result run;
+  run.schedule = start_;
+  double cost = cmin_;
+  gain_loop(inst, GainLossVariant::V2, move_set, std::nullopt, run, cost,
+            &moves_);
+}
+
+Result Gain2Sweep::answer(double budget) const {
+  if (budget < cmin_) throw_below_cmin("gain", budget, cmin_);
+  Result result;
+  result.schedule = start_;
+  double cost = cmin_;
+  const double eps = cost_eps(budget);
+  for (const Reassignment& move : moves_) {
+    const double left = budget - cost;
+    if (left <= eps) break;
+    if (move.dc > left + eps) {
+      // The first move B cannot afford: B's own loop takes over here.
+      gain_loop(inst_, GainLossVariant::V2, move_set_, budget, result, cost,
+                nullptr);
+      break;
+    }
+    apply(move, result, cost);
+  }
+  // A replay that ran off the recording's end stops too: no move
+  // improves there, affordable or not.
+  return finish(inst_, std::move(result), budget, "gain");
 }
 
 Result gain(const Instance& inst, double budget, GainLossVariant variant,
             GainMoveSet move_set) {
   if (variant == GainLossVariant::V3)
     return Gain3Sweep(inst, move_set).answer(budget);
-
-  // Variants 1 and 2: fully dynamic greedy. V2 keeps the current
-  // schedule's durations in ws.weights.
   Result result;
   result.schedule = least_cost_schedule(inst);
-  double current_cost = total_cost(inst, result.schedule);
-  if (budget < current_cost) throw_below_cmin(budget, current_cost);
-  const auto computing = inst.workflow().computing_modules();
-  const double eps = cost_eps(budget);
-  const dag::FlatDag& flat = inst.flat_dag();
-  dag::CpmWorkspace ws;
-  dag::makespan_into(flat, durations(inst, result.schedule), ws);
-  std::vector<Candidate> cands;
-  for (;;) {
-    const double left = budget - current_cost;
-    if (left <= eps) break;
-    std::optional<Move> best;
-    if (variant == GainLossVariant::V2) {
-      best = best_gain2(inst, move_set, result.schedule, computing, left + eps,
-                        flat, ws, cands);
-    } else {
-      for (NodeId i : computing) {
-        const std::size_t cur = result.schedule.type_of[i];
-        for_each_target(inst, move_set, i, cur, [&](std::size_t j) {
-          const double dc = inst.cost(i, j) - inst.cost(i, cur);
-          if (dc > left + eps) return;
-          const double dt = inst.time(i, cur) - inst.time(i, j);
-          if (dt <= 0.0) return;
-          const double w = dc <= 0.0 ? kInf : dt / dc;
-          if (!best || w > best->weight ||
-              (w == best->weight && dt > best->dt))
-            best = Move{i, j, w, dt, dc};
-        });
-      }
-    }
-    if (!best) break;
-    result.schedule.type_of[best->module] = best->type;
-    ws.weights[best->module] = inst.time(best->module, best->type);
-    current_cost += best->dc;
-    ++result.iterations;
-  }
-  result.eval = evaluate(inst, result.schedule);
-  detail::check_schedule_invariants(inst, result.schedule, result.eval, budget,
-                                    detail::kUnconstrained, "gain");
-  return result;
+  double cost = total_cost(inst, result.schedule);
+  if (budget < cost) throw_below_cmin("gain", budget, cost);
+  gain_loop(inst, variant, move_set, budget, result, cost, nullptr);
+  return finish(inst, std::move(result), budget, "gain");
 }
 
 Result loss(const Instance& inst, double budget, GainLossVariant variant) {
   const double cmin = total_cost(inst, least_cost_schedule(inst));
-  if (budget < cmin) {
-    std::ostringstream os;
-    os << "loss: budget " << budget << " below least-cost cost " << cmin;
-    throw Infeasible(os.str());
-  }
+  if (budget < cmin) throw_below_cmin("loss", budget, cmin);
 
   Result result;
   result.schedule = fastest_schedule(inst);
-  double current_cost = total_cost(inst, result.schedule);
-  const auto computing = inst.workflow().computing_modules();
+  double cost = total_cost(inst, result.schedule);
   const double eps = cost_eps(budget);
-  // V2 keeps the current schedule's durations in ws.weights.
-  const dag::FlatDag& flat = inst.flat_dag();
-  dag::CpmWorkspace ws;
-  dag::makespan_into(flat, durations(inst, result.schedule), ws);
-
-  const auto over_budget = [&] { return current_cost > budget + eps; };
-
-  if (variant == GainLossVariant::V3 && over_budget()) {
+  if (variant == GainLossVariant::V3 && cost > budget + eps) {
     std::vector<Move> moves;
-    for (NodeId i : computing) {
+    for (NodeId i : inst.workflow().computing_modules()) {
       const std::size_t cur = result.schedule.type_of[i];
       for (std::size_t j = 0; j < inst.type_count(); ++j) {
         if (j == cur) continue;
@@ -340,48 +423,43 @@ Result loss(const Instance& inst, double budget, GainLossVariant variant) {
                      });
     std::vector<bool> moved(inst.module_count(), false);
     for (const Move& mv : moves) {
-      if (!over_budget()) break;
+      if (cost <= budget + eps) break;
       if (moved[mv.module]) continue;
-      result.schedule.type_of[mv.module] = mv.type;
-      ws.weights[mv.module] = inst.time(mv.module, mv.type);
-      current_cost += mv.dc;
+      apply(Reassignment{mv.module, mv.type, mv.dc}, result, cost);
       moved[mv.module] = true;
-      ++result.iterations;
     }
     // The single static pass can leave the schedule above budget (each task
     // moved at most once, to one target); finish with dynamic downgrades.
   }
+  loss_loop(inst, variant, budget, result, cost, nullptr);
+  return finish(inst, std::move(result), budget, "loss");
+}
 
-  std::vector<Candidate> cands;
-  while (over_budget()) {
-    std::optional<Move> best;
-    if (variant == GainLossVariant::V2) {
-      best = best_loss2(inst, result.schedule, computing, flat, ws, cands);
-    } else {
-      for (NodeId i : computing) {
-        const std::size_t cur = result.schedule.type_of[i];
-        for (std::size_t j = 0; j < inst.type_count(); ++j) {
-          if (j == cur) continue;
-          const double saving = inst.cost(i, cur) - inst.cost(i, j);
-          if (saving <= 0.0) continue;
-          const double loss_t = inst.time(i, j) - inst.time(i, cur);
-          const double w = loss_t <= 0.0 ? -kInf : loss_t / saving;
-          if (loss_beats(w, saving, best)) best = Move{i, j, w, loss_t, -saving};
-        }
-      }
-    }
-    MEDCC_ENSURES(best.has_value());  // guaranteed while cost > Cmin
-    result.schedule.type_of[best->module] = best->type;
-    ws.weights[best->module] = inst.time(best->module, best->type);
-    current_cost += best->dc;
-    ++result.iterations;
+Loss2Sweep::Loss2Sweep(const Instance& inst)
+    : inst_(inst),
+      start_(fastest_schedule(inst)),
+      start_cost_(total_cost(inst, start_)),
+      cmin_(total_cost(inst, least_cost_schedule(inst))) {
+  Result run;
+  run.schedule = start_;
+  double cost = start_cost_;
+  loss_loop(inst, GainLossVariant::V2, cmin_, run, cost, &moves_);
+}
+
+Result Loss2Sweep::answer(double budget) const {
+  if (budget < cmin_) throw_below_cmin("loss", budget, cmin_);
+  Result result;
+  result.schedule = start_;
+  double cost = start_cost_;
+  const double eps = cost_eps(budget);
+  // The run at B takes the recorded moves while its cost exceeds
+  // B + eps(B); the recording ends within Cmin + eps(Cmin), which no
+  // budget's threshold is below.
+  for (const Reassignment& move : moves_) {
+    if (!(cost > budget + eps)) break;
+    apply(move, result, cost);
   }
-
-  result.eval = evaluate(inst, result.schedule);
-  MEDCC_ENSURES(result.eval.cost <= budget + 1e-6 * std::max(1.0, budget));
-  detail::check_schedule_invariants(inst, result.schedule, result.eval, budget,
-                                    detail::kUnconstrained, "loss");
-  return result;
+  return finish(inst_, std::move(result), budget, "loss");
 }
 
 }  // namespace medcc::sched

@@ -27,10 +27,19 @@
 //   3 -- weights from task differences computed ONCE against the initial
 //        schedule; tasks are then visited in static weight order.
 //
-// Variant 3's sorted move list does not depend on the budget, so a budget
-// sweep builds it once (Gain3Sweep) and walks it per budget. Each walk
-// uses its own budget's epsilon, eps(B) = 1e-9 * max(1, B): a move is
-// taken when dC <= B - cost + eps(B).
+// A budget sweep answers every budget of one instance from work done
+// once, bit-identically to the one-shot solver:
+//   GAIN3 -- the sorted move list does not depend on B (Gain3Sweep);
+//   GAIN2 -- a round picks the best affordable move under one fixed order
+//            (weight, dt, scan position), which dropping unaffordable
+//            moves keeps; while B affords the unbounded run's next move,
+//            B picks it too (Gain2Sweep, as CgSweep does for CG);
+//   LOSS2 -- the moves never depend on B, only where the run stops; the
+//            cost falls along the run and B + eps(B) grows with B, so the
+//            run at B = Cmin passes every budget's stop (Loss2Sweep).
+// Each answer applies its own eps(B) = 1e-9 * max(1, B) in the one-shot
+// run's tests: GAIN takes a move when dC <= B - cost + eps(B), and LOSS
+// downgrades while cost > B + eps(B).
 #pragma once
 
 #include <vector>
@@ -63,6 +72,14 @@ enum class GainMoveSet {
   return gain(inst, budget, GainLossVariant::V3, GainMoveSet::FastestType);
 }
 
+/// One applied reassignment of a GAIN/LOSS run, as a sweep replays it:
+/// `module` moves to `type`, and the running cost changes by `dc`.
+struct Reassignment {
+  NodeId module = 0;
+  std::size_t type = 0;
+  double dc = 0.0;
+};
+
 /// GAIN variant 3 over a budget sweep: the constructor builds and sorts
 /// the static move list against the least-cost schedule; answer(B) walks
 /// it, reassigning each task at most once. gain(inst, B, V3, move_set)
@@ -74,15 +91,29 @@ public:
   [[nodiscard]] Result answer(double budget) const override;
 
 private:
-  struct Step {
-    NodeId module = 0;
-    std::size_t type = 0;
-    double dc = 0.0;
-  };
   const Instance& inst_;
   Schedule start_;  ///< the least-cost schedule
   double cmin_ = 0.0;
-  std::vector<Step> order_;  ///< descending static weight, ties -> larger dT
+  /// Descending static weight, ties -> larger dT.
+  std::vector<Reassignment> order_;
+};
+
+/// GAIN variant 2 over a budget sweep: the constructor records the
+/// unbounded run from the least-cost schedule; answer(B) replays it while
+/// B can afford the next move, then finishes with B's own loop. Equals
+/// gain(inst, B, V2, move_set) bit for bit, Infeasible text included.
+class Gain2Sweep final : public BudgetSweep {
+public:
+  explicit Gain2Sweep(const Instance& inst,
+                      GainMoveSet move_set = GainMoveSet::FastestType);
+  [[nodiscard]] Result answer(double budget) const override;
+
+private:
+  const Instance& inst_;
+  GainMoveSet move_set_;
+  Schedule start_;  ///< the least-cost schedule
+  double cmin_ = 0.0;
+  std::vector<Reassignment> moves_;  ///< the unbounded run's moves, in order
 };
 
 /// LOSS under budget B. Starts from the fastest schedule (the unlimited-VM
@@ -90,5 +121,22 @@ private:
 /// Throws Infeasible when B < Cmin (then even full downgrading cannot fit).
 [[nodiscard]] Result loss(const Instance& inst, double budget,
                           GainLossVariant variant = GainLossVariant::V1);
+
+/// LOSS variant 2 over a budget sweep: the constructor records the run at
+/// B = Cmin from the fastest schedule; answer(B) replays it while the
+/// running cost exceeds B + eps(B). Equals loss(inst, B, V2) bit for bit,
+/// Infeasible text included.
+class Loss2Sweep final : public BudgetSweep {
+public:
+  explicit Loss2Sweep(const Instance& inst);
+  [[nodiscard]] Result answer(double budget) const override;
+
+private:
+  const Instance& inst_;
+  Schedule start_;  ///< the fastest schedule
+  double start_cost_ = 0.0;
+  double cmin_ = 0.0;
+  std::vector<Reassignment> moves_;  ///< the run at Cmin's moves, in order
+};
 
 }  // namespace medcc::sched

@@ -6,6 +6,14 @@
 #include "sched/genetic.hpp"
 
 namespace medcc::sched {
+namespace {
+
+template <typename Sweep>
+std::unique_ptr<const BudgetSweep> make_sweep(const Instance& inst) {
+  return std::make_unique<Sweep>(inst);
+}
+
+}  // namespace
 
 const SolverRegistry& SolverRegistry::built_in() {
   static const SolverRegistry registry = [] {
@@ -15,26 +23,30 @@ const SolverRegistry& SolverRegistry::built_in() {
         [](const Instance& inst, double budget) {
           return critical_greedy(inst, budget);
         },
-        [](const Instance& inst) -> std::unique_ptr<const BudgetSweep> {
-          return std::make_unique<CgSweep>(inst);
-        });
+        &make_sweep<CgSweep>);
     for (const auto variant :
          {GainLossVariant::V1, GainLossVariant::V2, GainLossVariant::V3}) {
       const auto suffix = static_cast<int>(variant);
-      SweepFactory sweep = nullptr;
-      if (variant == GainLossVariant::V3)
-        sweep = [](const Instance& inst) -> std::unique_ptr<const BudgetSweep> {
-          return std::make_unique<Gain3Sweep>(inst);
-        };
+      // Sweeps for the served members only: gain1, loss1 and loss3 stay
+      // one-shot.
+      SweepFactory gain_sweep = nullptr;
+      SweepFactory loss_sweep = nullptr;
+      if (variant == GainLossVariant::V2) {
+        gain_sweep = &make_sweep<Gain2Sweep>;
+        loss_sweep = &make_sweep<Loss2Sweep>;
+      } else if (variant == GainLossVariant::V3) {
+        gain_sweep = &make_sweep<Gain3Sweep>;
+      }
       r.register_solver("gain" + std::to_string(suffix),
                         [variant](const Instance& inst, double budget) {
                           return gain(inst, budget, variant);
                         },
-                        sweep);
+                        gain_sweep);
       r.register_solver("loss" + std::to_string(suffix),
                         [variant](const Instance& inst, double budget) {
                           return loss(inst, budget, variant);
-                        });
+                        },
+                        loss_sweep);
     }
     r.register_solver("genetic", [](const Instance& inst, double budget) {
       return genetic(inst, budget);

@@ -40,7 +40,8 @@ class SolverRegistry {
 public:
   /// The immutable process-wide registry of built-in solvers:
   ///   annealing, cg, gain1, gain2, gain3, genetic, loss1, loss2, loss3.
-  /// cg and gain3 carry sweeps (CgSweep, Gain3Sweep).
+  /// cg, gain2, gain3 and loss2 carry sweeps (CgSweep, Gain2Sweep,
+  /// Gain3Sweep, Loss2Sweep).
   [[nodiscard]] static const SolverRegistry& built_in();
 
   /// The entry registered under `name`, or nullptr.

@@ -19,10 +19,11 @@
 // across eviction.
 //
 // An entry also holds the budget sweeps of the solvers asked about it
-// (sched::SolverEntry::sweep: cg and gain3 among the built-ins), so a
-// sweep's budget levels after the first miss pay only the per-budget
-// part of the solve. A sweep is built on a worker on first use, at most
-// once per (entry, factory), and answered without a lock after that.
+// (sched::SolverEntry::sweep: cg, gain2, gain3 and loss2 among the
+// built-ins), so a sweep's budget levels after the first miss pay only
+// the per-budget part of the solve. A sweep is built on a worker on
+// first use, at most once per (entry, factory), and answered without a
+// lock after that.
 #pragma once
 
 #include <cstddef>

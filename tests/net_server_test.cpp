@@ -197,11 +197,12 @@ TEST(NetServer, ServedBudgetSweepDecodesTheInstanceOnce) {
   EXPECT_EQ(service.instance_table().stats().size, 1u);
 }
 
-// A 20-level cg + gain3 sweep interleaved over 33 instances, one more
-// than the intern table holds, visited forwards then backwards at
-// alternate levels: entries are evicted and re-decoded, so their solver
-// sweeps are rebuilt, while most requests reuse a live one. Every
-// response is byte-identical to encoding the in-process solver's result.
+// A 20-level sweep under every solver with a sweep (cg, gain3, gain2,
+// loss2) interleaved over 33 instances, one more than the intern table
+// holds, visited forwards then backwards at alternate levels: entries are
+// evicted and re-decoded, so their solver sweeps are rebuilt, while most
+// requests reuse a live one. Every response is byte-identical to encoding
+// the in-process solver's result.
 TEST(NetServer, SweepAcrossInternEvictionIsByteIdentical) {
   SchedulingService service({.threads = 2});
   Server server(service);
@@ -224,7 +225,7 @@ TEST(NetServer, SweepAcrossInternEvictionIsByteIdentical) {
     for (std::size_t visit = 0; visit < kInstances; ++visit) {
       const std::size_t k =
           level % 2 == 0 ? visit : kInstances - 1 - visit;
-      for (const std::string solver : {"cg", "gain3"}) {
+      for (const std::string solver : {"cg", "gain3", "gain2", "loss2"}) {
         const double budget = budgets[k][level];
         SCOPED_TRACE(solver + " instance " + std::to_string(k) +
                      " level " + std::to_string(level));
@@ -246,9 +247,9 @@ TEST(NetServer, SweepAcrossInternEvictionIsByteIdentical) {
   const std::string stats = client.stats();
   const long long builds = text_metric(stats, "solver_sweep_builds");
   const long long reuses = text_metric(stats, "solver_sweep_reuses");
-  EXPECT_GT(builds, static_cast<long long>(2 * kInstances));  // rebuilds
+  EXPECT_GT(builds, static_cast<long long>(4 * kInstances));  // rebuilds
   EXPECT_GT(reuses, builds);
-  EXPECT_EQ(builds + reuses, static_cast<long long>(2 * 20 * kInstances));
+  EXPECT_EQ(builds + reuses, static_cast<long long>(4 * 20 * kInstances));
 }
 
 TEST(NetServer, CacheAndRejectionTaxonomyCrossTheWire) {

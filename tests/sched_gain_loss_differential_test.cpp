@@ -1,10 +1,12 @@
 // Differential test for GAIN2 and LOSS2, which run a forward pass only for
 // the candidate moves whose certified CPM-slack bounds can reach the best
-// weight. The oracle below is the full-probe loop they replaced, kept
-// verbatim: every candidate is scored with a full forward pass, every
-// round. Schedule, iteration count and the MED and cost bit patterns must
-// match on Table IV instances, Pegasus-shaped workflows, an edge-weighted
-// instance and constructed tie and dominance cases. No timing is asserted.
+// weight, and for their budget sweeps (Gain2Sweep, Loss2Sweep), built once
+// per instance and asked at every budget. The oracle below is the
+// full-probe loop they replaced, kept verbatim: every candidate is scored
+// with a full forward pass, every round. Schedule, iteration count and the
+// MED and cost bit patterns must match on Table IV instances,
+// Pegasus-shaped workflows, an edge-weighted instance and constructed tie
+// and dominance cases. No timing is asserted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -197,26 +199,40 @@ std::vector<double> budgets_of(const Instance& inst, std::size_t levels,
 }
 
 /// Compares gain2, loss2 and, when `all_pairs`, gain2 over every (module,
-/// type) move with the oracle at each budget.
+/// type) move with the oracle at each budget: both the one-shot solvers
+/// and their sweeps, each sweep built once for all budgets.
 void expect_matches_oracle(const Instance& inst,
                            const std::vector<double>& budgets,
                            const std::string& name, bool all_pairs = true) {
+  const medcc::sched::Gain2Sweep gain2_sweep(inst);
+  std::optional<medcc::sched::Gain2Sweep> gain2_all_sweep;
+  if (all_pairs) gain2_all_sweep.emplace(inst, GainMoveSet::AllPairs);
+  const medcc::sched::Loss2Sweep loss2_sweep(inst);
   for (const double budget : budgets) {
     const std::string at = name + " @" + std::to_string(budget);
     for (const auto move_set : {GainMoveSet::FastestType, GainMoveSet::AllPairs}) {
       if (move_set == GainMoveSet::AllPairs && !all_pairs) continue;
+      const std::string label =
+          at + (move_set == GainMoveSet::AllPairs ? " gain2_all" : " gain2");
+      const auto want =
+          run([&] { return oracle_gain2(inst, budget, move_set); });
       expect_same(run([&] {
                     return medcc::sched::gain(inst, budget, GainLossVariant::V2,
                                               move_set);
                   }),
-                  run([&] { return oracle_gain2(inst, budget, move_set); }),
-                  at + (move_set == GainMoveSet::AllPairs ? " gain2_all"
-                                                          : " gain2"));
+                  want, label);
+      const medcc::sched::Gain2Sweep& sweep =
+          move_set == GainMoveSet::AllPairs ? *gain2_all_sweep : gain2_sweep;
+      expect_same(run([&] { return sweep.answer(budget); }), want,
+                  label + " sweep");
     }
+    const auto want = run([&] { return oracle_loss2(inst, budget); });
     expect_same(run([&] {
                   return medcc::sched::loss(inst, budget, GainLossVariant::V2);
                 }),
-                run([&] { return oracle_loss2(inst, budget); }), at + " loss2");
+                want, at + " loss2");
+    expect_same(run([&] { return loss2_sweep.answer(budget); }), want,
+                at + " loss2 sweep");
   }
 }
 

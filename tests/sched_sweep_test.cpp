@@ -1,20 +1,27 @@
 // Differential test of the budget sweeps against the one-shot solvers:
-// CgSweep::answer(B) must equal critical_greedy(inst, B) and
-// Gain3Sweep::answer(B) must equal gain3(inst, B) -- schedule, iteration
-// count, and MED and cost bit for bit -- at every budget of a sweep,
-// asked in shuffled order, and throw the same Infeasible text below Cmin.
+// for each built-in solver that carries a sweep (cg, gain2, gain3, loss2:
+// CgSweep, Gain2Sweep, Gain3Sweep, Loss2Sweep), answer(B) must equal the
+// solver's one-shot result -- schedule, iteration count, and MED and cost
+// bit for bit -- at every budget of a sweep, asked in shuffled order, and
+// throw the same Infeasible text below Cmin.
 //
-// Instances: Table IV sizes 1-20 x 5 seeds, the five Pegasus-style
-// patterns, the paper's 6-module example at Table II's budgets and the
-// WRF instance at Table VII's, and a move whose cost increase lies
-// within the budget's epsilon. Budgets: the paper's 20 levels, Cmin,
-// Cmax and random budgets above Cmax. One case answers from a single
-// shared sweep on four threads. No timings are asserted.
+// Instances: Table IV sizes 1-20 x 5 seeds (one parameterised case per
+// size), the five Pegasus-style patterns, the paper's 6-module example at
+// Table II's budgets and the WRF instance at Table VII's, a move whose
+// cost increase lies within the budget's epsilon, and budgets whose LOSS2
+// stopping threshold lands exactly on, or one ulp below, a cost the LOSS2
+// run passes through. Budgets: the paper's 20 levels, Cmin, Cmax and
+// random budgets above Cmax. One case answers from shared sweeps on four
+// threads. No timings are asserted.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "sched/bounds.hpp"
 #include "sched/critical_greedy.hpp"
 #include "sched/gain_loss.hpp"
+#include "sched/solver_registry.hpp"
 #include "testbed/wrf_experiment.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
@@ -31,10 +39,22 @@
 
 namespace {
 
-using medcc::sched::CgSweep;
-using medcc::sched::Gain3Sweep;
+using medcc::sched::BudgetSweep;
 using medcc::sched::Instance;
 using medcc::sched::Result;
+using medcc::sched::SolverEntry;
+
+/// The built-in solvers that carry a sweep.
+const std::vector<std::string> kSwept = {"cg", "gain2", "gain3", "loss2"};
+
+/// The built-in entry of `solver`, which must carry a sweep.
+const SolverEntry& entry_of(const std::string& solver) {
+  const SolverEntry* entry =
+      medcc::sched::SolverRegistry::built_in().entry(solver);
+  if (entry == nullptr || entry->sweep == nullptr)
+    throw std::logic_error(solver + " has no built-in sweep");
+  return *entry;
+}
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -72,30 +92,24 @@ std::vector<double> sweep_budgets(const Instance& inst, std::uint64_t seed,
   return budgets;
 }
 
-/// Checks both sweeps against both one-shot solvers on `budgets`, and
+/// Checks every sweep against its one-shot solver on `budgets`, and
 /// below Cmin.
 void check_instance(const Instance& inst, const std::vector<double>& budgets,
                     const std::string& name) {
-  const CgSweep cg(inst);
-  const Gain3Sweep g3(inst);
-  for (const double budget : budgets) {
-    const std::string where = name + " at B=" + std::to_string(budget);
-    expect_same(medcc::sched::critical_greedy(inst, budget), cg.answer(budget),
-                "cg " + where);
-    expect_same(medcc::sched::gain3(inst, budget), g3.answer(budget),
-                "gain3 " + where);
-  }
   const double below = 0.99 * medcc::sched::cost_bounds(inst).cmin;
-  const std::string cg_text = infeasible_text(
-      [&] { return medcc::sched::critical_greedy(inst, below); });
-  ASSERT_FALSE(cg_text.empty()) << name;
-  EXPECT_EQ(infeasible_text([&] { return cg.answer(below); }), cg_text)
-      << name;
-  const std::string g3_text =
-      infeasible_text([&] { return medcc::sched::gain3(inst, below); });
-  ASSERT_FALSE(g3_text.empty()) << name;
-  EXPECT_EQ(infeasible_text([&] { return g3.answer(below); }), g3_text)
-      << name;
+  for (const std::string& solver : kSwept) {
+    const SolverEntry& entry = entry_of(solver);
+    const auto sweep = entry.sweep(inst);
+    for (const double budget : budgets) {
+      expect_same(entry.solve(inst, budget), sweep->answer(budget),
+                  solver + " " + name + " at B=" + std::to_string(budget));
+    }
+    const std::string text =
+        infeasible_text([&] { return entry.solve(inst, below); });
+    ASSERT_FALSE(text.empty()) << solver << " " << name;
+    EXPECT_EQ(infeasible_text([&] { return sweep->answer(below); }), text)
+        << solver << " " << name;
+  }
 }
 
 Instance table4_instance(std::size_t size_index, std::uint64_t seed) {
@@ -104,17 +118,21 @@ Instance table4_instance(std::size_t size_index, std::uint64_t seed) {
       medcc::expr::table4_sizes()[size_index], rng);
 }
 
-TEST(BudgetSweep, TableIvSizesMatchOneShotSolvers) {
-  const auto& sizes = medcc::expr::table4_sizes();
-  for (std::size_t s = 0; s < sizes.size(); ++s) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      const Instance inst = table4_instance(s, seed);
-      check_instance(inst, sweep_budgets(inst, 31 * seed + s),
-                     "table4 size " + std::to_string(s + 1) + " seed " +
-                         std::to_string(seed));
-    }
+// One case per Table IV size, so that ctest can run them as shards.
+class TableIvSize : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TableIvSize, MatchesOneShotSolvers) {
+  const std::size_t s = GetParam();
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const Instance inst = table4_instance(s, seed);
+    check_instance(inst, sweep_budgets(inst, 31 * seed + s),
+                   "table4 size " + std::to_string(s + 1) + " seed " +
+                       std::to_string(seed));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(BudgetSweep, TableIvSize,
+                         ::testing::Range<std::size_t>(0, 20));
 
 TEST(BudgetSweep, PatternShapesMatchOneShotSolvers) {
   medcc::util::Prng rng(2013);
@@ -152,9 +170,10 @@ TEST(BudgetSweep, WrfInstanceAtTableViiBudgets) {
 }
 
 // A move whose dC lies within the budget's epsilon: at B = Cmin a
-// Critical-Greedy run stops before it (the budget left is within eps),
-// while GAIN3 takes it (dC <= left + eps). The replay must ask the same
-// two questions in the same order.
+// Critical-Greedy or GAIN2 run stops before it (the budget left is
+// within eps), while GAIN3 takes it (dC <= left + eps). Just above Cmin
+// the budget left is still within eps but exceeds dC. The replay must ask
+// the same two questions in the same order.
 TEST(BudgetSweep, NearFreeUpgradeWithinEpsilon) {
   medcc::workflow::Workflow wf;
   const auto entry = wf.add_fixed_module("entry", 0.0);
@@ -170,49 +189,107 @@ TEST(BudgetSweep, NearFreeUpgradeWithinEpsilon) {
   const double cmin = medcc::sched::cost_bounds(inst).cmin;
   EXPECT_EQ(medcc::sched::critical_greedy(inst, cmin).iterations, 0u);
   EXPECT_EQ(medcc::sched::gain3(inst, cmin).iterations, 1u);
+  EXPECT_EQ(medcc::sched::gain(inst, cmin, medcc::sched::GainLossVariant::V2)
+                .iterations,
+            0u);
+  EXPECT_EQ(medcc::sched::gain(inst, cmin + 1e-9,
+                               medcc::sched::GainLossVariant::V2)
+                .iterations,
+            0u);
   check_instance(inst, sweep_budgets(inst, 5, {cmin + 1e-9, 11.0}),
                  "near-free");
 }
 
-// Four threads answer from one shared pair of sweeps, each in its own
-// order; every answer must equal the one-shot solvers'.
+/// LOSS's stopping threshold at `budget`: it downgrades while the cost
+/// exceeds budget + eps(budget).
+double loss_threshold(double budget) {
+  return budget + 1e-9 * std::max(1.0, budget);
+}
+
+/// The budget whose threshold is exactly `cost`, or NaN.
+double budget_at_threshold(double cost) {
+  constexpr double kUp = std::numeric_limits<double>::infinity();
+  double budget = cost / (1.0 + 1e-9);
+  for (int step = 0; step < 64; ++step) {
+    const double t = loss_threshold(budget);
+    if (t == cost) return budget;  // medcc-lint: allow(float-eq)
+    budget = std::nextafter(budget, t < cost ? kUp : 0.0);
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+// The paper's example has integer costs, so the LOSS2 run's running cost
+// at each stop is the evaluated cost of the schedule it stops at. At a
+// budget whose threshold equals that cost the run stops there (the cost
+// does not exceed the threshold); one ulp of budget below, it takes one
+// more move. The sweep must draw the same line.
+TEST(BudgetSweep, Loss2StopsExactlyAtARecordedCost) {
+  const Instance inst = Instance::from_model(
+      medcc::workflow::example6(), medcc::cloud::example_catalog());
+  const auto bounds = medcc::sched::cost_bounds(inst);
+  const medcc::sched::Loss2Sweep sweep(inst);
+  const auto loss2 = [&](double budget) {
+    return medcc::sched::loss(inst, budget, medcc::sched::GainLossVariant::V2);
+  };
+  std::size_t checked = 0;
+  for (const double level : medcc::sched::budget_levels(bounds, 20)) {
+    const double stop = loss2(level).eval.cost;
+    ASSERT_EQ(stop, std::round(stop));  // medcc-lint: allow(float-eq)
+    const double at = budget_at_threshold(stop);
+    ASSERT_FALSE(std::isnan(at)) << stop;
+    const double below = std::nextafter(at, 0.0);
+    ASSERT_LT(loss_threshold(below), stop);
+    if (below < bounds.cmin) continue;
+    const std::string where = "stop " + std::to_string(stop);
+    const Result want_at = loss2(at);
+    EXPECT_EQ(bits(want_at.eval.cost), bits(stop)) << where;
+    expect_same(want_at, sweep.answer(at), "at " + where);
+    const Result want_below = loss2(below);
+    EXPECT_EQ(want_below.iterations, want_at.iterations + 1) << where;
+    expect_same(want_below, sweep.answer(below), "below " + where);
+    ++checked;
+  }
+  EXPECT_GT(checked, 5u);
+}
+
+// Four threads answer from one shared sweep per solver, each in its own
+// order; every answer must equal the one-shot solver's.
 TEST(BudgetSweep, SharedSweepAnswersConcurrently) {
   const Instance inst = table4_instance(19, 1);
   const std::vector<double> budgets = sweep_budgets(inst, 99);
-  std::vector<Result> want_cg;
-  std::vector<Result> want_g3;
-  for (const double budget : budgets) {
-    want_cg.push_back(medcc::sched::critical_greedy(inst, budget));
-    want_g3.push_back(medcc::sched::gain3(inst, budget));
+  std::vector<std::unique_ptr<const BudgetSweep>> sweeps;
+  std::vector<std::vector<Result>> want(kSwept.size());
+  for (std::size_t s = 0; s < kSwept.size(); ++s) {
+    const SolverEntry& entry = entry_of(kSwept[s]);
+    sweeps.push_back(entry.sweep(inst));
+    for (const double budget : budgets)
+      want[s].push_back(entry.solve(inst, budget));
   }
-  const CgSweep cg(inst);
-  const Gain3Sweep g3(inst);
 
   constexpr std::size_t kThreads = 4;
-  std::vector<std::vector<Result>> got_cg(kThreads);
-  std::vector<std::vector<Result>> got_g3(kThreads);
+  // got[t][s][k]: thread t's answer from sweep s at budgets[k].
+  std::vector<std::vector<std::vector<Result>>> got(kThreads);
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      got_cg[t].resize(budgets.size());
-      got_g3[t].resize(budgets.size());
+      got[t].assign(kSwept.size(), std::vector<Result>(budgets.size()));
       std::vector<std::size_t> order(budgets.size());
       for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
       medcc::util::Prng rng(t + 1);
       rng.shuffle(order);
-      for (const std::size_t k : order) {
-        got_cg[t][k] = cg.answer(budgets[k]);
-        got_g3[t][k] = g3.answer(budgets[k]);
-      }
+      for (const std::size_t k : order)
+        for (std::size_t s = 0; s < kSwept.size(); ++s)
+          got[t][s][k] = sweeps[s]->answer(budgets[k]);
     });
   }
   for (auto& thread : threads) thread.join();
   for (std::size_t t = 0; t < kThreads; ++t) {
-    for (std::size_t k = 0; k < budgets.size(); ++k) {
-      const std::string where = "thread " + std::to_string(t) +
-                                " B=" + std::to_string(budgets[k]);
-      expect_same(want_cg[k], got_cg[t][k], "cg " + where);
-      expect_same(want_g3[k], got_g3[t][k], "gain3 " + where);
+    for (std::size_t s = 0; s < kSwept.size(); ++s) {
+      for (std::size_t k = 0; k < budgets.size(); ++k) {
+        expect_same(want[s][k], got[t][s][k],
+                    kSwept[s] + " thread " + std::to_string(t) +
+                        " B=" + std::to_string(budgets[k]));
+      }
     }
   }
 }

@@ -654,9 +654,10 @@ TEST(Service, EverySolverInRegistryServes) {
   }
 }
 
-// One interned instance asked at the paper's 20 levels under cg and
-// gain3: each solver's sweep is built once and answers the other 19
-// levels, and every answer equals the plain solver's.
+// One interned instance asked at the paper's 20 levels under every
+// built-in solver with a sweep (cg, gain3, gain2, loss2): each solver's
+// sweep is built once and answers the other 19 levels, and every answer
+// equals the plain solver's.
 TEST(Service, InternedBudgetSweepBuildsEachSolverSweepOnce) {
   medcc::util::Prng rng(20);
   const auto inst = std::make_shared<const Instance>(
@@ -665,26 +666,29 @@ TEST(Service, InternedBudgetSweepBuildsEachSolverSweepOnce) {
       std::make_shared<const medcc::service::InternedInstance>(inst);
   const auto budgets =
       medcc::sched::budget_levels(medcc::sched::cost_bounds(*inst), 20);
+  const std::vector<std::string> solvers = {"cg", "gain3", "gain2", "loss2"};
+  const medcc::sched::SolverRegistry& registry =
+      medcc::sched::SolverRegistry::built_in();
   SchedulingService service({.threads = 2});
   std::vector<std::future<SchedulingResponse>> futures;
   for (const double budget : budgets) {
-    for (const std::string solver : {"cg", "gain3"}) {
+    for (const std::string& solver : solvers) {
       auto request = request_for(inst, budget, solver);
       request.interned = interned;
       futures.push_back(service.submit(std::move(request)));
     }
   }
   for (std::size_t k = 0; k < futures.size(); ++k) {
-    const double budget = budgets[k / 2];
+    const double budget = budgets[k / solvers.size()];
+    const std::string& solver = solvers[k % solvers.size()];
     const auto response = futures[k].get();
-    ASSERT_TRUE(response.ok()) << response.error;
-    EXPECT_EQ(response.cache, CacheOutcome::miss);
+    ASSERT_TRUE(response.ok()) << solver << ": " << response.error;
+    EXPECT_EQ(response.cache, CacheOutcome::miss) << solver;
     expect_identical(response.result,
-                     k % 2 == 0 ? medcc::sched::critical_greedy(*inst, budget)
-                                : medcc::sched::gain3(*inst, budget));
+                     (*registry.find(solver))(*inst, budget));
   }
-  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_builds), 2u);
-  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_reuses), 38u);
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_builds), 4u);
+  EXPECT_EQ(service.metrics().value(Counter::solver_sweep_reuses), 76u);
 }
 
 // A registry that replaces cg replaces its sweep with it: interned cg
@@ -722,13 +726,21 @@ TEST(Service, ReplacedSolverIsNeverAnsweredFromBuiltInSweep) {
   EXPECT_EQ(service.metrics().value(Counter::solver_sweep_reuses), 0u);
 }
 
-// The served set is the paper's solvers plus the two metaheuristics; an
+// The served set is the paper's solvers plus the two metaheuristics, and
+// the solvers the served traffic asks at many budgets carry a sweep; an
 // ablation-only Critical-Greedy variant is not a wire-visible name.
 TEST(Service, ServedSolverSetIsPinned) {
-  EXPECT_EQ(medcc::sched::SolverRegistry::built_in().names(),
+  const medcc::sched::SolverRegistry& registry =
+      medcc::sched::SolverRegistry::built_in();
+  EXPECT_EQ(registry.names(),
             (std::vector<std::string>{"annealing", "cg", "gain1", "gain2",
                                       "gain3", "genetic", "loss1", "loss2",
                                       "loss3"}));
+  std::vector<std::string> swept;
+  for (const std::string& name : registry.names())
+    if (registry.entry(name)->sweep != nullptr) swept.push_back(name);
+  EXPECT_EQ(swept,
+            (std::vector<std::string>{"cg", "gain2", "gain3", "loss2"}));
   SchedulingService service({.threads = 1});
   const auto response =
       service.submit(request_for(example_instance(), 57.0, "cg-ratio")).get();
