@@ -279,6 +279,111 @@ TEST(ResultCache, ZeroTtlNeverExpires) {
   EXPECT_EQ(cache.stats().expired, 0u);
 }
 
+// Characterization of the LRU under a scripted sequence of insert, find,
+// restore, expiry under an injected clock and overflow, on two shards.
+// Each entry is tagged by its budget (stored as the result's cost), so
+// the script pins by tag: which entries overflow evicts, the order
+// export_entries() replays (shard by shard, oldest first) with each
+// entry's hit count, every Stats counter, and every cache_expired
+// notification.
+TEST(ResultCache, CharacterizationScript) {
+  std::int64_t now = 0;
+  std::vector<std::size_t> notified;
+  ResultCache cache({.capacity = 6,
+                     .shards = 2,
+                     .ttl_s = 10,
+                     .clock = [&now] { return now; },
+                     .on_expired = [&notified](std::size_t n) {
+                       notified.push_back(n);
+                     }});
+  ASSERT_EQ(cache.shard_count(), 2u);
+  ASSERT_EQ(cache.capacity(), 6u);
+  const auto inst = Instance::from_model(diamond_forward(), catalog_forward());
+  const auto fp = [&inst](int tag) {
+    return fp_of(inst, static_cast<double>(tag));
+  };
+  const auto put = [&cache, &fp](int tag) {
+    cache.insert(fp(tag), result_with(Schedule{{0, 0, 0, 0, 0}}, 1.0,
+                                      static_cast<double>(tag)));
+  };
+  const auto found = [&cache, &fp](int tag) {
+    const auto hit = cache.find(fp(tag));
+    if (hit) {
+      EXPECT_EQ(hit->result.eval.cost, static_cast<double>(tag));
+    }
+    return hit.has_value();
+  };
+  // {tag, hits} in export order.
+  const auto exported = [&cache] {
+    std::vector<std::pair<int, std::uint64_t>> out;
+    for (const auto& entry : cache.export_entries())
+      out.emplace_back(static_cast<int>(entry.result.eval.cost), entry.hits);
+    return out;
+  };
+  using Export = std::vector<std::pair<int, std::uint64_t>>;
+  const auto expect_stats = [&cache](std::uint64_t insertions,
+                                     std::uint64_t evictions,
+                                     std::uint64_t expired, std::size_t size) {
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.insertions, insertions);
+    EXPECT_EQ(stats.evictions, evictions);
+    EXPECT_EQ(stats.expired, expired);
+    EXPECT_EQ(stats.size, size);
+  };
+
+  // Overflow: eight inserts into two shards of three.
+  for (int tag = 1; tag <= 8; ++tag) put(tag);
+  expect_stats(8, 2, 0, 6);
+  // Tags 1, 2, 4, 5 and 7 share a shard, so 1 and 2 were its victims.
+  EXPECT_EQ(exported(), (Export{{4, 0}, {5, 0}, {7, 0}, {3, 0}, {6, 0},
+                                {8, 0}}));
+
+  // Victims are the least recently used per shard; a find refreshes.
+  EXPECT_FALSE(found(1));
+  EXPECT_FALSE(found(2));
+  EXPECT_TRUE(found(4));
+  EXPECT_TRUE(found(3));
+  EXPECT_TRUE(found(3));
+  put(9);
+  put(10);
+  expect_stats(10, 4, 0, 6);
+  EXPECT_EQ(exported(), (Export{{4, 1}, {9, 0}, {10, 0}, {6, 0}, {8, 0},
+                                {3, 2}}));
+
+  // Restore and re-insert upsert without counting an insertion, and
+  // both restamp the TTL; a re-insert resets the hit count.
+  now = 5;
+  auto restored = ResultCache::make_entry(
+      fp(11), result_with(Schedule{{0, 0, 0, 0, 0}}, 1.0, 11.0));
+  restored.hits = 7;
+  cache.restore(std::move(restored));
+  put(3);
+  expect_stats(10, 5, 0, 6);
+  EXPECT_EQ(exported(), (Export{{9, 0}, {10, 0}, {11, 7}, {6, 0}, {8, 0},
+                                {3, 0}}));
+  EXPECT_TRUE(notified.empty());
+
+  // Expiry: a find at the TTL drops one lazily, the sweep the rest of
+  // the entries stamped at 0; entries stamped at 5 survive.
+  now = 10;
+  EXPECT_FALSE(found(9));
+  EXPECT_EQ(notified, (std::vector<std::size_t>{1}));
+  EXPECT_TRUE(found(11));
+  EXPECT_EQ(cache.sweep_expired(), 3u);
+  EXPECT_EQ(notified, (std::vector<std::size_t>{1, 3}));
+  expect_stats(10, 5, 4, 2);
+  EXPECT_EQ(exported(), (Export{{11, 8}, {3, 0}}));
+
+  // A sweep with nothing stale notifies nobody.
+  EXPECT_EQ(cache.sweep_expired(), 0u);
+  EXPECT_EQ(notified, (std::vector<std::size_t>{1, 3}));
+  now = 15;
+  EXPECT_EQ(cache.sweep_expired(), 2u);
+  EXPECT_EQ(notified, (std::vector<std::size_t>{1, 3, 2}));
+  expect_stats(10, 5, 6, 0);
+  EXPECT_TRUE(exported().empty());
+}
+
 TEST(ResultCache, ClearEmptiesEveryShard) {
   ResultCache cache({.capacity = 16, .shards = 4});
   const auto inst = Instance::from_model(diamond_forward(), catalog_forward());

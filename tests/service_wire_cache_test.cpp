@@ -117,6 +117,77 @@ TEST(WireCache, TtlExpiresAndRestamps) {
   EXPECT_NE(cache.find("key"), nullptr);
 }
 
+// Characterization of the LRU under a scripted sequence of insert,
+// find, expiry under an injected clock and overflow, on two shards:
+// pins which keys overflow evicts and every Stats counter. Keys 1, 7, 8
+// and 11 share a shard; keys 2, 3, 4 and 5 share the other.
+TEST(WireCache, CharacterizationScript) {
+  std::int64_t now = 0;
+  WireCache::Config config;
+  config.capacity = 4;
+  config.shards = 2;
+  config.ttl_s = 10;
+  config.clock = [&now] { return now; };
+  WireCache cache(config);
+  ASSERT_EQ(cache.capacity(), 4u);
+  const auto key = [](int i) { return "request-" + std::to_string(i); };
+  const auto frame = [](int i) { return "frame-" + std::to_string(i); };
+  const auto found = [&cache, &key, &frame](int i) {
+    const auto hit = cache.find(key(i));
+    if (hit) {
+      EXPECT_EQ(*hit, frame(i));
+    }
+    return hit != nullptr;
+  };
+  const auto present = [&found](const std::vector<int>& keys) {
+    std::vector<int> out;
+    for (const int i : keys)
+      if (found(i)) out.push_back(i);
+    return out;
+  };
+  const auto expect_stats = [&cache](std::uint64_t hits,
+                                     std::uint64_t misses,
+                                     std::uint64_t insertions,
+                                     std::uint64_t evictions,
+                                     std::uint64_t expired, std::size_t size) {
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.hits, hits);
+    EXPECT_EQ(stats.misses, misses);
+    EXPECT_EQ(stats.insertions, insertions);
+    EXPECT_EQ(stats.evictions, evictions);
+    EXPECT_EQ(stats.expired, expired);
+    EXPECT_EQ(stats.size, size);
+  };
+
+  // Overflow: six inserts into two shards of two.
+  for (const int i : {1, 2, 7, 3, 8, 4}) cache.insert(key(i), frame(i));
+  expect_stats(0, 0, 6, 2, 0, 4);
+  EXPECT_EQ(present({1, 2, 3, 4, 7, 8}), (std::vector<int>{3, 4, 7, 8}));
+  expect_stats(4, 2, 6, 2, 0, 4);
+
+  // A find refreshes: the untouched key of a shard is its victim.
+  EXPECT_TRUE(found(7));
+  EXPECT_TRUE(found(3));
+  cache.insert(key(11), frame(11));
+  cache.insert(key(5), frame(5));
+  EXPECT_EQ(present({1, 2, 3, 4, 5, 7, 8, 11}),
+            (std::vector<int>{3, 5, 7, 11}));
+  expect_stats(10, 6, 8, 4, 0, 4);
+
+  // A re-insert upserts (no insertion, no eviction) and restamps.
+  now = 5;
+  cache.insert(key(7), frame(7));
+  expect_stats(10, 6, 8, 4, 0, 4);
+
+  // Expiry is lazy: each stale find drops its entry and counts a miss.
+  now = 10;
+  EXPECT_EQ(present({3, 11, 7, 5}), (std::vector<int>{7}));
+  expect_stats(11, 9, 8, 4, 3, 1);
+  now = 15;
+  EXPECT_FALSE(found(7));
+  expect_stats(11, 10, 8, 4, 4, 0);
+}
+
 TEST(WireCache, ClearEmptiesEveryShard) {
   WireCache cache;
   for (int i = 0; i < 32; ++i)
