@@ -518,13 +518,17 @@ void Server::handle_solve(Reactor& r, Connection& conn,
     queue_output(r, conn, encode_solve_response(response, request_id));
     return;
   }
+  // The body is hashed once: the hash serves this lookup and the
+  // completion's insert below.
+  const std::size_t body_hash =
+      wire_cache_ != nullptr ? service::WireCache::hash(inner) : 0;
   if (wire_cache_ != nullptr) {
     // Zero-copy exact-hit fast path: a verbatim duplicate of a
     // previously answered request is served from the memoized frame
     // without decoding the body or touching the service. Traced frames
     // key on the inner bytes, so traced and untraced duplicates share
     // one memo entry and one set of response bytes.
-    if (const auto frame = wire_cache_->find(inner)) {
+    if (const auto frame = wire_cache_->find(inner, body_hash)) {
       metrics_.add(Counter::wire_fastpath_hits);
       if (tracer != nullptr && trace.valid()) {
         // Single-span, allocation-free accounting: the hit's duration
@@ -585,6 +589,7 @@ void Server::handle_solve(Reactor& r, Connection& conn,
       std::move(request),
       [queue = r.completions, wire = wire_cache_, serial, id,
        key = wire_cache_ != nullptr ? std::string(inner) : std::string(),
+       body_hash,
        tracer, trace_ctx, buffer = std::move(trace_buffer), started_ns,
        origin = config_.node_id](
           service::SchedulingResponse response) mutable {
@@ -605,7 +610,8 @@ void Server::handle_solve(Reactor& r, Connection& conn,
           response.solve_ms = 0.0;
           response.cache = service::CacheOutcome::hit_exact;
           try {
-            wire->insert(std::move(key), encode_solve_response(response, 0));
+            wire->insert(std::move(key), body_hash,
+                         encode_solve_response(response, 0));
           } catch (...) {
             // Memoization is an optimization; never fail the reply.
           }

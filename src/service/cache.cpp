@@ -1,60 +1,31 @@
 #include "service/cache.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 namespace medcc::service {
 
-namespace {
-
-std::int64_t steady_seconds() {
-  return std::chrono::duration_cast<std::chrono::seconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 ResultCache::ResultCache(const Config& config)
-    : ttl_s_(config.ttl_s),
-      clock_(config.clock ? config.clock : steady_seconds),
-      on_expired_(config.on_expired) {
+    : on_expired_(config.on_expired),
+      shards_(config.capacity, config.shards, config.ttl_s, config.clock) {
   MEDCC_EXPECTS(config.capacity > 0);
   MEDCC_EXPECTS(config.shards > 0);
   MEDCC_EXPECTS(config.ttl_s >= 0);
-  const std::size_t shards = std::min(config.shards, config.capacity);
-  shard_capacity_ = (config.capacity + shards - 1) / shards;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
 }
 
 std::optional<CacheHit> ResultCache::find(const FingerprintDetail& fp) {
-  Shard& shard = shard_for(fp.canonical);
-  const std::int64_t at = now();
-  bool dropped = false;
+  const Fingerprint& key = fp.canonical;
   std::optional<CacheHit> hit;
-  {
-    const util::MutexLock lock(shard.mutex);
-    const auto it = shard.index.find(fp.canonical);
-    if (it == shard.index.end()) return std::nullopt;
-    CacheEntry& entry = *it->second;
-    if (expired(entry, at)) {
-      shard.lru.erase(it->second);
-      shard.index.erase(it);
-      ++shard.expired;
-      dropped = true;
-    } else {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      ++entry.hits;
-      hit.emplace();
-      hit->exact = entry.exact == fp.exact;
-      hit->result = entry.result;
-      hit->assignment = entry.assignment;
-      hit->remappable = entry.remappable;
-    }
-  }
-  if (dropped) notify_expired(1);
+  const LruLookup lookup = shards_.shard(key.hi).find(
+      key, FingerprintHash{}(key), shards_.stale_at(),
+      [&hit, &fp](CacheEntry& entry) {
+        ++entry.hits;
+        hit.emplace();
+        hit->exact = entry.exact == fp.exact;
+        hit->result = entry.result;
+        hit->assignment = entry.assignment;
+        hit->remappable = entry.remappable;
+      });
+  if (lookup == LruLookup::expired) notify_expired(1);
   return hit;
 }
 
@@ -93,76 +64,24 @@ void ResultCache::restore(CacheEntry entry) {
 }
 
 void ResultCache::upsert(CacheEntry entry, bool count_insertion) {
-  Shard& shard = shard_for(entry.key);
-  entry.inserted_at = now();
-  const util::MutexLock lock(shard.mutex);
-  const auto it = shard.index.find(entry.key);
-  if (it != shard.index.end()) {
-    *it->second = std::move(entry);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
+  entry.inserted_at = shards_.now();
   const Fingerprint key = entry.key;
-  shard.lru.push_front(std::move(entry));
-  shard.index[key] = shard.lru.begin();
-  if (count_insertion) ++shard.insertions;
-  while (shard.lru.size() > shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  const std::int64_t stamp = entry.inserted_at;
+  shards_.shard(key.hi).insert(key, FingerprintHash{}(key), std::move(entry),
+                               stamp, count_insertion);
 }
 
 std::size_t ResultCache::sweep_expired() {
-  if (ttl_s_ <= 0) return 0;
-  const std::int64_t at = now();
-  std::size_t total = 0;
-  for (auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (expired(*it, at)) {
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-        ++shard->expired;
-        ++total;
-      } else {
-        ++it;
-      }
-    }
-  }
-  notify_expired(total);
-  return total;
+  const std::size_t dropped = shards_.erase_stale();
+  notify_expired(dropped);
+  return dropped;
 }
 
 std::vector<CacheEntry> ResultCache::export_entries() const {
   std::vector<CacheEntry> entries;
-  for (const auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    // Oldest first, so replaying in order reproduces the LRU order.
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it)
-      entries.push_back(*it);
-  }
+  shards_.for_each_oldest_first(
+      [&entries](const CacheEntry& entry) { entries.push_back(entry); });
   return entries;
-}
-
-ResultCache::Stats ResultCache::stats() const {
-  Stats total;
-  for (const auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    total.insertions += shard->insertions;
-    total.evictions += shard->evictions;
-    total.expired += shard->expired;
-    total.size += shard->lru.size();
-  }
-  return total;
-}
-
-void ResultCache::clear() {
-  for (auto& shard : shards_) {
-    const util::MutexLock lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
-  }
 }
 
 std::optional<sched::Schedule> remap_schedule(const CacheHit& hit,

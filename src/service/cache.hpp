@@ -21,21 +21,19 @@
 //    performance but never correctness.
 //
 // Sharding: entries are distributed over `shards` independently locked
-// LRU lists by fingerprint, so concurrent workers rarely contend.
+// LRUs (service/lru.hpp) by fingerprint, so concurrent workers rarely
+// contend.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sched/schedule.hpp"
 #include "service/fingerprint.hpp"
-#include "util/mutex.hpp"
+#include "service/lru.hpp"
 
 namespace medcc::service {
 
@@ -95,12 +93,7 @@ public:
     std::function<void(std::size_t)> on_expired{};
   };
 
-  struct Stats {
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t expired = 0;
-    std::size_t size = 0;
-  };
+  using Stats = LruStats;
 
   explicit ResultCache(const Config& config);
 
@@ -130,47 +123,26 @@ public:
 
   /// Copies every entry out, least-recently-used first, so re-applying
   /// them in order (snapshot load, compaction) reproduces the LRU
-  /// order. Order across shards is interleaved and insignificant.
+  /// order. Entries come shard by shard; the order across shards is
+  /// insignificant.
   [[nodiscard]] std::vector<CacheEntry> export_entries() const;
 
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t capacity() const {
-    return shard_capacity_ * shards_.size();
+  [[nodiscard]] Stats stats() const { return shards_.stats(); }
+  [[nodiscard]] std::size_t capacity() const { return shards_.capacity(); }
+  [[nodiscard]] std::size_t shard_count() const {
+    return shards_.shard_count();
   }
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  void clear();
+  void clear() { shards_.clear(); }
 
 private:
-  struct Shard {
-    util::Mutex mutex;
-    std::list<CacheEntry> lru MEDCC_GUARDED_BY(mutex);  // front == most recent
-    std::unordered_map<Fingerprint, std::list<CacheEntry>::iterator,
-                       FingerprintHash>
-        index MEDCC_GUARDED_BY(mutex);
-    std::uint64_t insertions MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t evictions MEDCC_GUARDED_BY(mutex) = 0;
-    std::uint64_t expired MEDCC_GUARDED_BY(mutex) = 0;
-  };
-
   void upsert(CacheEntry entry, bool count_insertion);
-  [[nodiscard]] std::int64_t now() const { return clock_(); }
-  [[nodiscard]] bool expired(const CacheEntry& entry,
-                             std::int64_t at) const {
-    return ttl_s_ > 0 && at - entry.inserted_at >= ttl_s_;
-  }
   void notify_expired(std::size_t count) const {
     if (count > 0 && on_expired_) on_expired_(count);
   }
 
-  [[nodiscard]] Shard& shard_for(const Fingerprint& fp) {
-    return *shards_[fp.hi % shards_.size()];
-  }
-
-  std::size_t shard_capacity_;
-  std::int64_t ttl_s_;
-  std::function<std::int64_t()> clock_;
   std::function<void(std::size_t)> on_expired_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Entries live in shard `key.hi % shard_count()`.
+  ShardedLru<Fingerprint, CacheEntry> shards_;
 };
 
 /// Re-indexes a cached twin's schedule into the requesting instance's

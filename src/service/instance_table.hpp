@@ -11,10 +11,10 @@
 //
 // Correctness rests on byte identity: an entry is inserted only after
 // its bytes decoded and validated in full, and a lookup matches only
-// the same bytes (hash plus full compare, ByteLru), so a hit inherits
-// every check the original decode made. The table is one unsharded
-// ByteLru of kInstanceTableCapacity entries: sharding a table this
-// small would split a sweep's live instances unevenly and thrash.
+// the same bytes (hash plus full compare, service/lru.hpp), so a hit
+// inherits every check the original decode made. The table is one
+// unsharded Lru of kInstanceTableCapacity entries: sharding a table
+// this small would split a sweep's live instances unevenly and thrash.
 // Entries are shared_ptrs, so a request in flight keeps its entry alive
 // across eviction.
 //
@@ -29,13 +29,14 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sched/instance.hpp"
 #include "sched/solver_registry.hpp"
-#include "service/byte_lru.hpp"
 #include "service/fingerprint.hpp"
+#include "service/lru.hpp"
 #include "util/mutex.hpp"
 
 namespace medcc::service {
@@ -104,6 +105,7 @@ class InternedInstance {
 /// before its sweeps.
 inline constexpr std::size_t kInstanceTableCapacity = 32;
 
-using InstanceTable = ByteLru<std::shared_ptr<const InternedInstance>>;
+using InstanceTable =
+    Lru<std::string, std::shared_ptr<const InternedInstance>>;
 
 }  // namespace medcc::service

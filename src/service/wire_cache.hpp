@@ -19,12 +19,13 @@
 // copying under the shard lock.
 //
 // Keys are opaque bytes -- the cache never parses them -- which keeps
-// this layer free of any codec dependency. Sharded like ResultCache:
-// one ByteLru (service/byte_lru.hpp) per shard, picked by the same
-// hash the shard then looks the key up with. Safe from any thread.
+// this layer free of any codec dependency. Sharded like ResultCache, on
+// the one LRU (service/lru.hpp): the body's hash picks the shard, and
+// the same hash finds the key in it. A caller that looks a body up and
+// later memoizes its response hashes it once and passes the hash to
+// both calls. Safe from any thread.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -32,10 +33,8 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
-#include "service/byte_lru.hpp"
-#include "util/mutex.hpp"
+#include "service/lru.hpp"
 
 namespace medcc::service {
 
@@ -54,48 +53,54 @@ class WireCache {
     std::function<std::int64_t()> clock{};
   };
 
-  using Stats = ByteLruStats;
+  using Stats = LruStats;
 
-  WireCache();
-  explicit WireCache(Config config);
+  WireCache() : WireCache(Config()) {}
+  explicit WireCache(Config config)
+      : shards_(config.capacity, config.shards, config.ttl_s,
+                std::move(config.clock)) {}
+
+  /// The hash find() and insert() take for `request_body`.
+  [[nodiscard]] static std::size_t hash(std::string_view request_body) {
+    return Shard::hash(request_body);
+  }
 
   /// Looks up the encoded template frame for the exact request-body
-  /// bytes. Refreshes LRU order on hit; nullptr on miss. Equality is
-  /// on the full byte string, so hash collisions cannot alias.
+  /// bytes, whose hash() is `body_hash`. Refreshes LRU order on hit;
+  /// nullptr on miss. Equality is on the full byte string, so hash
+  /// collisions cannot alias.
   [[nodiscard]] std::shared_ptr<const std::string> find(
-      std::string_view request_body);
+      std::string_view request_body, std::size_t body_hash) {
+    return shards_.shard(body_hash).find(request_body, body_hash,
+                                         shards_.stale_at());
+  }
+  [[nodiscard]] std::shared_ptr<const std::string> find(
+      std::string_view request_body) {
+    return find(request_body, hash(request_body));
+  }
 
   /// Memoizes `frame` (an encoded template response, request id 0)
-  /// under the request-body bytes, replacing any previous entry and
-  /// evicting the shard's LRU tail when full.
-  void insert(std::string_view request_body, std::string frame) {
-    insert_owned(std::string(request_body), std::move(frame));
+  /// under the request-body bytes, whose hash() is `body_hash`,
+  /// replacing any previous entry and evicting the shard's LRU tail
+  /// when full.
+  void insert(std::string request_body, std::size_t body_hash,
+              std::string frame) {
+    shards_.shard(body_hash).insert(
+        std::move(request_body), body_hash,
+        std::make_shared<const std::string>(std::move(frame)), shards_.now());
   }
-  /// Same, taking ownership of an rvalue key instead of copying it.
-  template <typename Key>
-    requires std::same_as<Key, std::string>
-  void insert(Key&& request_body, std::string frame) {
-    insert_owned(std::move(request_body), std::move(frame));
+  void insert(std::string_view request_body, std::string frame) {
+    insert(std::string(request_body), hash(request_body), std::move(frame));
   }
 
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  void clear();
+  [[nodiscard]] Stats stats() const { return shards_.stats(); }
+  [[nodiscard]] std::size_t capacity() const { return shards_.capacity(); }
+  void clear() { shards_.clear(); }
 
  private:
-  using Shard = ByteLru<std::shared_ptr<const std::string>>;
+  using Shard = Lru<std::string, std::shared_ptr<const std::string>>;
 
-  void insert_owned(std::string request_body, std::string frame);
-  [[nodiscard]] Shard& shard_for(std::size_t key_hash) {
-    return *shards_[key_hash % shards_.size()];
-  }
-
-  std::size_t capacity_ = 0;
-  std::int64_t ttl_s_ = 0;
-  std::function<std::int64_t()> clock_;
-  /// Sized in the constructor, then structurally immutable (each shard
-  /// locks itself).
-  MEDCC_NOT_GUARDED std::vector<std::unique_ptr<Shard>> shards_;
+  ShardedLru<std::string, std::shared_ptr<const std::string>> shards_;
 };
 
 }  // namespace medcc::service

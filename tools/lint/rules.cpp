@@ -7,7 +7,7 @@
 // Token-stream rules (new): mutable-field-near-mutex-without-guarded-by,
 // detached-thread, lock-guard-unused, raw-fopen, catch-by-value,
 // large-value-param, legacy-cpm-in-library, hand-rolled-le,
-// frame-parse-outside-codec.
+// frame-parse-outside-codec, hand-rolled-lru.
 #include <algorithm>
 #include <cctype>
 #include <set>
@@ -934,6 +934,36 @@ class FrameParseOutsideCodecRule final : public Rule {
   }
 };
 
+// ---------------------------------------------------------------------------
+// hand-rolled-lru
+
+class HandRolledLruRule final : public Rule {
+ public:
+  [[nodiscard]] std::string id() const override { return "hand-rolled-lru"; }
+
+  [[nodiscard]] std::string rationale() const override {
+    return "service::Lru is the one LRU behind the result cache, the wire "
+           "cache and the intern table; a std::list elsewhere in the "
+           "library is how a second, hand-rolled LRU would creep back";
+  }
+
+  void check(const SourceFile& file, std::vector<Finding>& out) const override {
+    // The one LRU's recency list.
+    if (path_contains(file.path, "service/lru.hpp")) return;
+    const std::vector<Token>& toks = file.tokens;
+    for (std::size_t i = 3; i < toks.size(); ++i) {
+      if (!is_ident(toks[i], "list") || !is_punct(toks[i - 1], ':') ||
+          !is_punct(toks[i - 2], ':') || !is_ident(toks[i - 3], "std"))
+        continue;
+      out.push_back(Finding{
+          file.path.string(), toks[i].line, id(),
+          "'std::list' outside src/service/lru.hpp",
+          "memoize through service::Lru (or service::ShardedLru), passing "
+          "the key's hash in once"});
+    }
+  }
+};
+
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> make_all_rules() {
@@ -953,6 +983,7 @@ std::vector<std::unique_ptr<Rule>> make_all_rules() {
   rules.push_back(std::make_unique<LegacyCpmInLibraryRule>());
   rules.push_back(std::make_unique<HandRolledLeRule>());
   rules.push_back(std::make_unique<FrameParseOutsideCodecRule>());
+  rules.push_back(std::make_unique<HandRolledLruRule>());
   return rules;
 }
 
