@@ -10,21 +10,33 @@ void RecordFail::fail(util::ByteFault /*fault*/, const char* what) {
   throw PersistError(std::string("persist: ") + what);
 }
 
-std::string encode_file_header(std::uint32_t magic) {
-  util::ByteWriter writer;
+namespace {
+
+void put_file_header(util::ByteWriter& writer, std::uint32_t magic) {
   writer.u32(magic);
   writer.u16(kFormatVersion);
   writer.u16(0);  // reserved
+}
+
+void put_record(util::ByteWriter& writer, std::string_view payload) {
+  writer.u32(static_cast<std::uint32_t>(payload.size()));
+  writer.u32(util::crc32(payload));
+  writer.raw(payload);
+}
+
+}  // namespace
+
+std::string encode_file_header(std::uint32_t magic) {
+  util::ByteWriter writer;
+  put_file_header(writer, magic);
   return writer.take();
 }
 
 std::string frame_record(std::string_view payload) {
   util::ByteWriter writer;
-  writer.u32(static_cast<std::uint32_t>(payload.size()));
-  writer.u32(util::crc32(payload));
-  std::string out = writer.take();
-  out.append(payload);
-  return out;
+  writer.reserve(kRecordHeaderSize + payload.size());
+  put_record(writer, payload);
+  return writer.take();
 }
 
 ReadResult parse_record_file(std::string_view bytes, std::uint32_t magic,
@@ -94,10 +106,14 @@ ReadResult read_record_file(const std::filesystem::path& path,
 
 std::string encode_record_file(std::uint32_t magic,
                                const std::vector<std::string>& payloads) {
-  std::string out = encode_file_header(magic);
+  std::size_t size = kFileHeaderSize;
   for (const std::string& payload : payloads)
-    out.append(frame_record(payload));
-  return out;
+    size += kRecordHeaderSize + payload.size();
+  util::ByteWriter writer;
+  writer.reserve(size);
+  put_file_header(writer, magic);
+  for (const std::string& payload : payloads) put_record(writer, payload);
+  return writer.take();
 }
 
 void write_record_file(const std::filesystem::path& path, std::uint32_t magic,

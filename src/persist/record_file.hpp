@@ -105,7 +105,8 @@ struct ReadResult {
     const std::filesystem::path& path, std::uint32_t magic,
     std::size_t max_record_bytes = kDefaultMaxRecordBytes);
 
-/// Serializes header + records into one buffer (for atomic_write_file).
+/// Serializes header + records into one buffer, sized up front (for
+/// atomic_write_file): the header followed by each frame_record().
 [[nodiscard]] std::string encode_record_file(
     std::uint32_t magic, const std::vector<std::string>& payloads);
 

@@ -58,6 +58,11 @@ public:
     out_.append(s);
   }
 
+  /// Raw bytes, no prefix (a field whose length travels elsewhere).
+  void raw(std::string_view s) { out_.append(s); }
+  /// Sizes the buffer up front for an encoding of known length.
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
   [[nodiscard]] const std::string& bytes() const { return out_; }
   [[nodiscard]] std::string take() { return std::move(out_); }
 
