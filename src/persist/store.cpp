@@ -52,7 +52,7 @@ LoadResult DurableStore::load() {
   try {
     if (!journal.exists || journal.valid_bytes < kFileHeaderSize) {
       // Missing, empty, or torn before the header: start a fresh journal.
-      reset_journal_locked();
+      replace_journal_locked(encode_file_header(kJournalMagic));
     } else {
       journal_ = util::File::append(journal_path());
       if (journal.truncated) {
@@ -76,11 +76,12 @@ LoadResult DurableStore::load() {
 }
 
 void DurableStore::append(std::string_view payload) {
+  // Framing (and its CRC) needs no lock.
+  const std::string framed = frame_record(payload);
   bool request_flush = false;
   {
     const util::MutexLock lock(mutex_);
     MEDCC_EXPECTS(loaded_);
-    const std::string framed = frame_record(payload);
     try {
       journal_.write_all(framed);
       if (config_.fsync_appends) journal_.sync();
@@ -89,6 +90,9 @@ void DurableStore::append(std::string_view payload) {
       append_errors_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    // A flush is building a snapshot that may miss this record: it
+    // also rides in the carried tail, the next journal.
+    if (capturing_) carried_ += framed;
     journal_bytes_ += framed.size();
     dirty_ = true;
     appends_.fetch_add(1, std::memory_order_relaxed);
@@ -102,55 +106,93 @@ void DurableStore::append(std::string_view payload) {
 }
 
 void DurableStore::flush() {
-  const util::MutexLock lock(mutex_);
-  MEDCC_EXPECTS(loaded_);
-  flush_locked();
+  const util::MutexLock serial(flush_mutex_);
+  flush_serialized(/*only_if_dirty=*/false);
 }
 
 void DurableStore::flush_if_dirty() {
-  const util::MutexLock lock(mutex_);
-  MEDCC_EXPECTS(loaded_);
-  if (!dirty_) return;
+  const util::MutexLock serial(flush_mutex_);
   try {
-    flush_locked();
+    flush_serialized(/*only_if_dirty=*/true);
   } catch (const PersistError&) {
-    // Already counted by flush_locked's error path below; shutdown must
-    // not throw.
+    // Already counted by flush_serialized; shutdown must not throw.
   }
 }
 
-void DurableStore::flush_locked() {
+void DurableStore::flush_serialized(bool only_if_dirty) {
   const auto started = Clock::now();
+  {
+    // Start: appends from here on are carried into the next journal.
+    const util::MutexLock lock(mutex_);
+    MEDCC_EXPECTS(loaded_);
+    if (only_if_dirty && !dirty_) return;
+    capturing_ = true;
+    carried_ = encode_file_header(kJournalMagic);
+    dirty_ = false;
+  }
+  std::size_t records = 0;
   try {
-    // The source runs under the store lock: an insertion is either
-    // visible to this snapshot (its table update happened before) or
-    // its append is still waiting on the lock and lands in the fresh
-    // journal after rotation. Nothing falls in between.
+    // Snapshot, without the store lock: every append that returned
+    // before the start step updated the table first, so the source
+    // sees it; later ones are carried.
     const std::vector<std::string> payloads = source_();
+    records = payloads.size();
     write_record_file(snapshot_path(), kSnapshotMagic, payloads);
-    reset_journal_locked();
-    snapshot_records_ = payloads.size();
   } catch (...) {
-    flush_errors_.fetch_add(1, std::memory_order_relaxed);
+    const util::MutexLock lock(mutex_);
+    abandon_capture_locked();
     throw;
   }
-  dirty_ = false;
-  flush_requested_ = false;
+  bool request_flush = false;
+  double seconds = 0.0;
+  {
+    // End: the carried tail becomes the journal.
+    const util::MutexLock lock(mutex_);
+    try {
+      replace_journal_locked(carried_);
+    } catch (...) {
+      abandon_capture_locked();
+      throw;
+    }
+    capturing_ = false;
+    carried_ = std::string();
+    snapshot_records_ = records;
+    flush_requested_ = config_.journal_rotate_bytes > 0 &&
+                       journal_bytes_ >= config_.journal_rotate_bytes;
+    request_flush = flush_requested_;
+    seconds = to_seconds(Clock::now() - started);
+    last_flush_seconds_ = seconds;
+  }
   flushes_.fetch_add(1, std::memory_order_relaxed);
-  last_flush_seconds_ = to_seconds(Clock::now() - started);
-  if (config_.on_flush != nullptr) config_.on_flush(last_flush_seconds_);
+  if (request_flush) wake_.notify_all();
+  if (config_.on_flush != nullptr) config_.on_flush(seconds);
 }
 
-void DurableStore::reset_journal_locked() {
-  journal_.close();
+void DurableStore::abandon_capture_locked() {
+  capturing_ = false;
+  carried_ = std::string();
+  dirty_ = true;  // the appends since the start step are not snapshotted
+  flush_errors_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void DurableStore::replace_journal_locked(std::string_view image) {
   try {
-    journal_ = util::File::create(journal_path());
-    journal_.write_all(encode_file_header(kJournalMagic));
-    journal_.sync();
+    util::atomic_write_file(journal_path(), image);
+    journal_ = util::File::append(journal_path());
   } catch (const IoError& e) {
+    // Reopen whatever the path now holds: the old journal, which every
+    // append kept reaching, or the new one if only the directory fsync
+    // after the rename failed. Either is complete for the snapshot on
+    // disk.
+    try {
+      journal_ = util::File::append(journal_path());
+      journal_bytes_ = journal_.size();
+    } catch (const IoError&) {
+      // Keep the handle already open.
+    }
     throw PersistError(std::string("persist: ") + e.what());
   }
-  journal_bytes_ = kFileHeaderSize;
+  journal_bytes_ = image.size();
 }
 
 void DurableStore::start() {
@@ -173,30 +215,40 @@ void DurableStore::stop() {
 }
 
 void DurableStore::flusher_main() {
-  util::MutexLock lock(mutex_);
   const bool timed = config_.snapshot_interval_s > 0.0;
   const auto interval = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(
           timed ? config_.snapshot_interval_s : 1.0));
   auto deadline = Clock::now() + interval;
-  while (!stop_) {
-    const auto now = Clock::now();
-    const bool interval_due = timed && now >= deadline;
-    if (flush_requested_ || (interval_due && dirty_)) {
-      try {
-        flush_locked();
-      } catch (const PersistError&) {
-        // Counted; retry at the next trigger.
-        flush_requested_ = false;
+  for (;;) {
+    {
+      util::MutexLock lock(mutex_);
+      bool due = false;
+      while (!stop_ && !due) {
+        const auto now = Clock::now();
+        const bool interval_due = timed && now >= deadline;
+        if (interval_due) deadline = now + interval;
+        due = flush_requested_ || (interval_due && dirty_);
+        if (due) break;
+        // Explicit wait (not the predicate overload) so the
+        // thread-safety analysis sees the guarded reads under the
+        // capability.
+        if (timed) {
+          wake_.wait_until(lock.native(), deadline);
+        } else {
+          wake_.wait(lock.native());
+        }
       }
+      if (stop_) return;
     }
-    if (interval_due) deadline = now + interval;
-    // Explicit wait (not the predicate overload) so the thread-safety
-    // analysis sees the guarded reads under the capability.
-    if (timed) {
-      wake_.wait_until(lock.native(), deadline);
-    } else {
-      wake_.wait(lock.native());
+    // The flush itself runs without the store lock held here.
+    try {
+      const util::MutexLock serial(flush_mutex_);
+      flush_serialized(/*only_if_dirty=*/false);
+    } catch (const PersistError&) {
+      // Counted; retry at the next trigger.
+      const util::MutexLock lock(mutex_);
+      flush_requested_ = false;
     }
   }
 }

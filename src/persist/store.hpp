@@ -7,7 +7,8 @@
 //   snapshot.mdsp  -- full dump of the table, replaced atomically
 //                     (temp file + fsync + rename, util::atomic_file)
 //   journal.mdjl   -- append-only log of the payloads added since the
-//                     snapshot, fsynced per append by default
+//                     snapshot, fsynced per append by default, and
+//                     replaced atomically too when a flush resets it
 //
 // Warm start: load() reads both files (tolerating torn tails -- replay
 // stops at the first bad CRC, see record_file.hpp), returns snapshot
@@ -15,19 +16,36 @@
 // upsert order is correct), and cuts the journal back to its valid
 // prefix so new appends land behind intact records.
 //
-// Steady state: the caller appends one payload per table insertion
-// (AFTER applying the insertion to its in-memory table -- that ordering
-// plus the store's internal locking is what guarantees no insertion can
-// fall between a snapshot and the journal rotation that follows it).
-// A background flusher thread (start()/stop()) snapshots the whole
-// table when the snapshot interval elapses with new appends, or as soon
-// as the journal exceeds its rotation threshold, then resets the
-// journal; a crash between those two steps merely replays entries that
-// are already in the snapshot, which upserts absorb.
+// Steady state: the caller appends one payload per table insertion,
+// AFTER applying the insertion to its in-memory table. A background
+// flusher thread (start()/stop()) snapshots the whole table when the
+// snapshot interval elapses with new appends, or as soon as the journal
+// exceeds its rotation threshold. A flush takes the store lock only
+// twice, briefly, so appends keep flowing while the snapshot is built:
 //
-// Replay after any crash point is therefore: snapshot (atomic, so
-// either old or new) + journal prefix up to the first torn record --
-// exactly the set of insertions whose append returned, minus nothing.
+//   1. start (locked)   -- appends from here on also copy their record
+//                          into a carried tail;
+//   2. snapshot (not locked) -- the source exports the table, and the
+//                          image is framed, checksummed and atomically
+//                          written over snapshot.mdsp;
+//   3. end (locked)     -- journal.mdjl is atomically replaced by the
+//                          header plus the carried tail and reopened for
+//                          appends.
+//
+// Every append that returned before step 1 had already updated the
+// table, so the export in step 2 sees it; every later one is in the
+// carried tail. Until step 3 every append also lands in the old journal.
+// Replay after any crash point is therefore a superset of the
+// insertions whose append returned:
+//
+//   before the snapshot rename   old snapshot + old journal
+//   before the journal rename    new snapshot + old journal (entries
+//                                already in the snapshot replay again,
+//                                which upserts absorb)
+//   after it                     new snapshot + carried tail
+//
+// each read up to its first torn record. A failed snapshot write or
+// journal replacement leaves the old journal open, and complete.
 #pragma once
 
 #include <atomic>
@@ -81,8 +99,12 @@ struct LoadResult {
 class DurableStore {
 public:
   /// Produces the full current payload set of the table being
-  /// persisted; called with the store lock held, so it must not call
-  /// back into this store.
+  /// persisted. Called from the flushing thread WITHOUT the store lock,
+  /// one flush at a time, while appends continue: it must see every
+  /// insertion whose append() returned before the flush began (the
+  /// insert-then-append order gives that). It may append, or wait on
+  /// threads that do, but must not flush, flush_if_dirty or stop this
+  /// store.
   using SnapshotSource = std::function<std::vector<std::string>()>;
 
   DurableStore(StoreConfig config, SnapshotSource source);
@@ -102,7 +124,8 @@ public:
   /// degrades, the caller's in-memory table keeps working.
   void append(std::string_view payload);
 
-  /// Snapshots via the source and resets the journal. Synchronous;
+  /// Snapshots via the source and resets the journal to the records
+  /// appended meanwhile. Synchronous, serialized with the flusher;
   /// throws PersistError on IO failure.
   void flush();
   /// flush(), but only when there is anything new, and absorbing IO
@@ -134,16 +157,30 @@ public:
 
 private:
   void flusher_main();
-  void flush_locked() MEDCC_REQUIRES(mutex_);
-  void reset_journal_locked() MEDCC_REQUIRES(mutex_);
+  /// The three steps of a flush; a no-op when `only_if_dirty` and
+  /// nothing is new.
+  void flush_serialized(bool only_if_dirty) MEDCC_REQUIRES(flush_mutex_);
+  /// Atomically replaces the journal with `image` (a header plus whole
+  /// records) and reopens it for appends.
+  void replace_journal_locked(std::string_view image) MEDCC_REQUIRES(mutex_);
+  /// A failed flush: stop carrying, stay dirty, count the error.
+  void abandon_capture_locked() MEDCC_REQUIRES(mutex_);
 
   const StoreConfig config_;
   /// Set once in the constructor, then only called.
   MEDCC_NOT_GUARDED const SnapshotSource source_;
 
+  /// Serializes flushes (flusher, flush(), flush_if_dirty()); taken
+  /// before mutex_, never while holding it.
+  util::Mutex flush_mutex_;
+
   mutable util::Mutex mutex_;
   util::File journal_ MEDCC_GUARDED_BY(mutex_);
   std::uint64_t journal_bytes_ MEDCC_GUARDED_BY(mutex_) = 0;
+  /// Between a flush's start and end steps: appends also go to
+  /// carried_, which holds the next journal's header plus those records.
+  bool capturing_ MEDCC_GUARDED_BY(mutex_) = false;
+  std::string carried_ MEDCC_GUARDED_BY(mutex_);
   bool loaded_ MEDCC_GUARDED_BY(mutex_) = false;
   /// Insertions (or recovered journal records) not yet in the snapshot.
   bool dirty_ MEDCC_GUARDED_BY(mutex_) = false;

@@ -88,6 +88,7 @@ enum class Latency : std::uint8_t {
   total,
   persist_load,
   persist_flush,
+  persist_append,
 };
 
 enum class MetricKind : std::uint8_t { counter, gauge, histogram };
@@ -159,9 +160,10 @@ inline constexpr auto kLatencyRows = std::to_array<MetricRow>({
   {"latency_total_seconds", "medcc_latency_total_seconds", "", "Admission-to-response latency", MetricKind::histogram},
   {"persist_load_seconds", "medcc_persist_load_seconds", "", "Warm-start load time", MetricKind::histogram},
   {"persist_flush_seconds", "medcc_persist_flush_seconds", "", "Snapshot flush time", MetricKind::histogram},
+  {"persist_append_seconds", "medcc_persist_append_seconds", "", "Journal append time: lock wait, write and fsync", MetricKind::histogram},
 });
 inline constexpr std::size_t kLatencies = kLatencyRows.size();
-static_assert(static_cast<std::size_t>(Latency::persist_flush) + 1 ==
+static_assert(static_cast<std::size_t>(Latency::persist_append) + 1 ==
                   kLatencies,
               "one row per Latency");
 

@@ -352,15 +352,19 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
   if (store_ == nullptr && config_.on_cache_insert == nullptr) {
     cache_->insert(fp, response.result);
   } else {
-    // Insert BEFORE journaling: paired with the store's locked snapshot
-    // source, this guarantees the entry is either in the next snapshot
-    // or in the journal that survives it -- never dropped.
+    // Insert BEFORE journaling: a flush's snapshot source sees every
+    // entry whose append returned before the flush began, and the store
+    // carries later appends into the journal that survives it, so the
+    // entry is never dropped.
     CacheEntry entry = ResultCache::make_entry(fp, response.result);
     std::string payload = encode_cache_record(entry);
     cache_->insert(std::move(entry));
     if (store_ != nullptr) {
       const std::int64_t append_start = span_clock();
+      const auto append_started = clock_();
       store_->append(payload);
+      metrics_.record(Latency::persist_append,
+                      to_seconds(clock_() - append_started));
       if (tracer != nullptr)
         tracer->record(request.trace_buffer, obs::Stage::persist_append,
                        append_start, obs::Tracer::now_ns());

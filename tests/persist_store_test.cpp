@@ -1,6 +1,8 @@
 // The persistence subsystem: CRC-framed record files (torn-tail
 // tolerance at every byte offset, corruption detection at every flipped
-// byte) and the DurableStore snapshot + journal lifecycle.
+// byte) and the DurableStore snapshot + journal lifecycle, including
+// appends that run while a flush builds its snapshot without the store
+// lock.
 #include "persist/store.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,8 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,6 +70,16 @@ TEST(RecordFile, ShortHeaderIsTruncated) {
     EXPECT_TRUE(read.payloads.empty());
     EXPECT_EQ(read.valid_bytes, 0u);
   }
+}
+
+TEST(RecordFile, EncodeIsHeaderPlusFramedRecords) {
+  const auto payloads = sample_payloads();
+  std::string concatenated = encode_file_header(kSnapshotMagic);
+  for (const std::string& payload : payloads)
+    concatenated += frame_record(payload);
+  EXPECT_EQ(encode_record_file(kSnapshotMagic, payloads), concatenated);
+  EXPECT_EQ(encode_record_file(kJournalMagic, {}),
+            encode_file_header(kJournalMagic));
 }
 
 TEST(RecordFile, WrongMagicOrVersionThrows) {
@@ -164,8 +178,56 @@ class DurableStoreTest : public ::testing::Test {
         std::move(c), [table] { return *table; });
   }
 
+  /// Copies the persistence directory as a crash at this instant would
+  /// leave it, for loading later.
+  fs::path crash_copy(const std::string& name) const {
+    const fs::path copy = dir_.string() + "_" + name;
+    fs::remove_all(copy);
+    fs::copy(dir_, copy, fs::copy_options::recursive);
+    return copy;
+  }
+
   fs::path dir_;
   std::vector<std::string> table_;
+};
+
+/// What loading `dir` in a fresh store recovers.
+std::vector<std::string> load_payloads(const fs::path& dir) {
+  StoreConfig c;
+  c.dir = dir;
+  c.fsync_appends = false;
+  DurableStore store(c, [] { return std::vector<std::string>{}; });
+  return store.load().payloads;
+}
+
+/// Every payload of `returned` is among `loaded`.
+void expect_superset(const std::vector<std::string>& loaded,
+                     const std::vector<std::string>& returned,
+                     const std::string& where) {
+  const std::set<std::string> have(loaded.begin(), loaded.end());
+  for (const std::string& payload : returned)
+    EXPECT_TRUE(have.count(payload) == 1) << where << ": lost " << payload;
+}
+
+/// A table guarded by its own lock, appended to the way the service
+/// does it: insert first, then journal.
+class LockedTable {
+ public:
+  void insert_then_append(DurableStore& store, const std::string& payload) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      rows_.push_back(payload);
+    }
+    store.append(payload);
+  }
+  std::vector<std::string> rows() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return rows_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<std::string> rows_;
 };
 
 TEST_F(DurableStoreTest, FreshDirectoryLoadsEmpty) {
@@ -329,6 +391,164 @@ TEST_F(DurableStoreTest, FlushIfDirtySkipsWhenClean) {
   store->append("d");
   store->flush_if_dirty();
   EXPECT_EQ(store->stats().flushes, flushes + 1);
+}
+
+TEST_F(DurableStoreTest, ConcurrentAppendsSurviveFlushes) {
+  StoreConfig c = config();
+  c.journal_rotate_bytes = 512;  // a size-triggered flush every ~20 appends
+  LockedTable table;
+  DurableStore store(std::move(c), [&table] { return table.rows(); });
+  (void)store.load();
+  store.start();
+
+  constexpr int kThreads = 3;
+  constexpr int kPerThread = 300;
+  std::vector<std::thread> appenders;
+  for (int t = 0; t < kThreads; ++t)
+    appenders.emplace_back([&store, &table, t] {
+      for (int i = 0; i < kPerThread; ++i)
+        table.insert_then_append(
+            store, "t" + std::to_string(t) + "-" + std::to_string(i));
+    });
+  // Explicit flushes race the flusher thread and the appends.
+  std::thread flusher([&store] {
+    for (int i = 0; i < 20; ++i) store.flush();
+  });
+  for (std::thread& appender : appenders) appender.join();
+  flusher.join();
+  store.stop();
+
+  EXPECT_GE(store.stats().flushes, 20u);
+  EXPECT_EQ(store.stats().appends, std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(store.stats().flush_errors, 0u);
+  const std::vector<std::string> loaded = load_payloads(dir_);
+  expect_superset(loaded, table.rows(), "after stop");
+  EXPECT_EQ(std::set<std::string>(loaded.begin(), loaded.end()).size(),
+            std::size_t{kThreads * kPerThread});
+}
+
+TEST_F(DurableStoreTest, SnapshotSourceMayWaitOnAnAppendingThread) {
+  LockedTable table;
+  table_ = {};
+  DurableStore store(config(), [&] {
+    std::vector<std::string> rows = table.rows();
+    std::thread appender(
+        [&] { table.insert_then_append(store, "appended-by-source"); });
+    appender.join();
+    return rows;
+  });
+  (void)store.load();
+  table.insert_then_append(store, "before");
+  store.flush();  // the store lock is free while the source runs
+
+  // "before" is in the snapshot; the source's own append was carried
+  // into the fresh journal.
+  const ReadResult snapshot = read_record_file(store.snapshot_path(),
+                                               kSnapshotMagic);
+  EXPECT_EQ(snapshot.payloads, std::vector<std::string>{"before"});
+  const ReadResult journal = read_record_file(store.journal_path(),
+                                              kJournalMagic);
+  EXPECT_EQ(journal.payloads,
+            std::vector<std::string>{"appended-by-source"});
+  EXPECT_EQ(store.stats().journal_bytes, journal.valid_bytes);
+}
+
+TEST_F(DurableStoreTest, EveryCrashPointOfAFlushLoadsASuperset) {
+  LockedTable table;
+  std::vector<std::string> returned;  // appends that returned so far
+  fs::path before_snapshot_rename;
+  DurableStore* self = nullptr;
+  DurableStore store(config(), [&] {
+    // Export first, then let an append land mid-flush: it is missing
+    // from this snapshot and must survive through the carried tail.
+    std::vector<std::string> rows = table.rows();
+    if (!before_snapshot_rename.empty()) return rows;  // the retry
+    std::thread appender([&] {
+      table.insert_then_append(*self, "mid-flush");
+    });
+    appender.join();
+    returned.push_back("mid-flush");
+    before_snapshot_rename = crash_copy("before_snapshot_rename");
+    // A crash while the snapshot temp file is half written.
+    util::File::create(before_snapshot_rename / "snapshot.mdsp.tmp")
+        .write_all("torn");
+    return rows;
+  });
+  self = &store;
+  (void)store.load();
+  for (const char* payload : {"a", "b", "c"}) {
+    table.insert_then_append(store, payload);
+    returned.emplace_back(payload);
+  }
+
+  // Block the journal replacement: the snapshot is renamed into place,
+  // the journal is not -- exactly the disk a crash between the two
+  // renames leaves.
+  fs::create_directories(dir_ / "journal.mdjl.tmp");
+  EXPECT_THROW(store.flush(), PersistError);
+  expect_superset(load_payloads(before_snapshot_rename), returned,
+                  "before the snapshot rename");
+  const fs::path before_journal_rename = crash_copy("before_journal_rename");
+  fs::remove_all(before_journal_rename / "journal.mdjl.tmp");
+  util::File::create(before_journal_rename / "journal.mdjl.tmp")
+      .write_all("torn");  // and the journal temp file half written
+  expect_superset(load_payloads(before_journal_rename), returned,
+                  "before the journal rename");
+  EXPECT_EQ(read_record_file(before_journal_rename / kSnapshotFileName,
+                             kSnapshotMagic)
+                .payloads,
+            (std::vector<std::string>{"a", "b", "c"}));
+
+  // Unblocked, the next flush completes.
+  fs::remove_all(dir_ / "journal.mdjl.tmp");
+  store.flush();
+  expect_superset(load_payloads(crash_copy("after_flush")), returned,
+                  "after the flush");
+  EXPECT_EQ(store.stats().flush_errors, 1u);
+  EXPECT_EQ(store.stats().flushes, 1u);
+
+  for (const char* suffix :
+       {"before_snapshot_rename", "before_journal_rename", "after_flush"})
+    fs::remove_all(dir_.string() + "_" + suffix);
+}
+
+TEST_F(DurableStoreTest, FailedSnapshotWriteKeepsTheOldJournal) {
+  table_ = {"a", "b"};
+  auto store = make_store(config(), &table_);
+  (void)store->load();
+  store->append("a");
+  store->append("b");
+  fs::create_directories(dir_ / "snapshot.mdsp.tmp");  // blocks the write
+  EXPECT_THROW(store->flush(), PersistError);
+  EXPECT_EQ(store->stats().flush_errors, 1u);
+  EXPECT_EQ(store->stats().flushes, 0u);
+
+  store->append("after");
+  EXPECT_EQ(store->stats().append_errors, 0u);
+  store.reset();
+  EXPECT_FALSE(util::file_exists(dir_ / kSnapshotFileName));
+  EXPECT_EQ(load_payloads(dir_),
+            (std::vector<std::string>{"a", "b", "after"}));
+}
+
+TEST_F(DurableStoreTest, FailedJournalReplacementKeepsTheOldJournal) {
+  table_ = {"a", "b"};
+  auto store = make_store(config(), &table_);
+  (void)store->load();
+  store->append("a");
+  store->append("b");
+  fs::create_directories(dir_ / "journal.mdjl.tmp");  // blocks the rename
+  EXPECT_THROW(store->flush(), PersistError);
+  EXPECT_EQ(store->stats().flush_errors, 1u);
+
+  store->append("after");
+  EXPECT_EQ(store->stats().append_errors, 0u);
+  store->flush_if_dirty();  // still dirty, still blocked: absorbed
+  EXPECT_EQ(store->stats().flush_errors, 2u);
+  store.reset();
+  // The new snapshot, then the old journal, still open for "after".
+  EXPECT_EQ(load_payloads(dir_),
+            (std::vector<std::string>{"a", "b", "a", "b", "after"}));
 }
 
 TEST_F(DurableStoreTest, StopIsIdempotentAndRestartable) {

@@ -108,6 +108,8 @@ void drive(MetricsRegistry& metrics) {
   metrics.add(Counter::persist_replay_truncations);
   metrics.add(Counter::persist_flushes);
   metrics.record(Latency::persist_flush, 3e-3);
+  metrics.record(Latency::persist_append, 60e-6);
+  metrics.record(Latency::persist_append, 900e-6);
   metrics.add(Counter::cache_expired, 2);
 
   metrics.add(Counter::repl_applied, 2);
@@ -214,6 +216,8 @@ TEST(MetricsPrometheus, ExpositionCarriesTheDrivenValues) {
   EXPECT_NE(dump.find("medcc_frames_total{direction=\"in\"} 128"),
             std::string::npos);
   EXPECT_NE(dump.find("medcc_connections_active 125"), std::string::npos);
+  EXPECT_NE(dump.find("medcc_persist_append_seconds_count 2"),
+            std::string::npos);
   // Counter discipline: every medcc_* counter series ends in _total.
   EXPECT_EQ(dump.find("medcc_requests_by_solver{"), std::string::npos);
 }

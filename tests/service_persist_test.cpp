@@ -37,6 +37,7 @@ using medcc::sched::Instance;
 using medcc::service::CacheEntry;
 using medcc::service::CacheOutcome;
 using medcc::service::Counter;
+using medcc::service::Latency;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
 using medcc::service::SchedulingService;
@@ -262,6 +263,8 @@ TEST_F(ServicePersistTest, FlushPersistenceSnapshotsOnDemand) {
   ASSERT_TRUE(
       service.submit(request_for(example_instance(), 57.0)).get().ok());
   EXPECT_EQ(service.persist_stats().appends, 1u);
+  EXPECT_EQ(service.metrics().snapshot()[Latency::persist_append].count(),
+            1u);
   service.flush_persistence();
   const auto stats = service.persist_stats();
   EXPECT_GE(stats.flushes, 1u);
