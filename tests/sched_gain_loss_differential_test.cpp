@@ -250,26 +250,31 @@ Instance t4_instance(std::size_t k, std::uint64_t seed) {
   return medcc::expr::make_instance(medcc::expr::table4_sizes()[k], rng);
 }
 
-// The all-pairs oracle probes every (module, type) move every round and
-// would take most of the run time here, under sanitizers minutes, so it
-// runs on one seed of sizes 1-12 only.
-TEST(GainLossDifferential, TableFourSizes1To12) {
-  for (std::size_t k = 0; k < 12; ++k) {
+// One case per Table IV size, by index (0 for size 1), so the sizes can
+// be spread over separate runs by cost. Sizes 1-12 run three seeds at the
+// paper's 20 levels plus the extremes. The all-pairs oracle probes every
+// (module, type) move every round and would take most of the run time
+// here, under sanitizers minutes, so it runs on seed 1 of those sizes
+// only. Sizes 13-20 run one seed at 5 levels.
+class TableFourSize : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TableFourSize, MatchesOracle) {
+  const std::size_t k = GetParam();
+  if (k < 12) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
       const auto inst = t4_instance(k, seed);
       expect_matches_oracle(inst, budgets_of(inst, 20, true),
                             t4_name(k, seed), seed == 1);
     }
-  }
-}
-
-TEST(GainLossDifferential, TableFourSizes13To20) {
-  for (std::size_t k = 12; k < 20; ++k) {
+  } else {
     const auto inst = t4_instance(k, 1);
     expect_matches_oracle(inst, budgets_of(inst, 5, false), t4_name(k, 1),
                           false);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(GainLossDifferential, TableFourSize,
+                         ::testing::Range<std::size_t>(0, 20));
 
 TEST(GainLossDifferential, PegasusShapes) {
   medcc::util::Prng rng(41);
