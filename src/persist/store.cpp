@@ -92,7 +92,7 @@ void DurableStore::append(std::string_view payload) {
     }
     // A flush is building a snapshot that may miss this record: it
     // also rides in the carried tail, the next journal.
-    if (capturing_) carried_ += framed;
+    if (!carried_.empty()) carried_ += framed;
     journal_bytes_ += framed.size();
     dirty_ = true;
     appends_.fetch_add(1, std::memory_order_relaxed);
@@ -126,7 +126,6 @@ void DurableStore::flush_serialized(bool only_if_dirty) {
     const util::MutexLock lock(mutex_);
     MEDCC_EXPECTS(loaded_);
     if (only_if_dirty && !dirty_) return;
-    capturing_ = true;
     carried_ = encode_file_header(kJournalMagic);
     dirty_ = false;
   }
@@ -154,7 +153,6 @@ void DurableStore::flush_serialized(bool only_if_dirty) {
       abandon_capture_locked();
       throw;
     }
-    capturing_ = false;
     carried_ = std::string();
     snapshot_records_ = records;
     flush_requested_ = config_.journal_rotate_bytes > 0 &&
@@ -169,7 +167,6 @@ void DurableStore::flush_serialized(bool only_if_dirty) {
 }
 
 void DurableStore::abandon_capture_locked() {
-  capturing_ = false;
   carried_ = std::string();
   dirty_ = true;  // the appends since the start step are not snapshotted
   flush_errors_.fetch_add(1, std::memory_order_relaxed);

@@ -177,9 +177,8 @@ private:
   mutable util::Mutex mutex_;
   util::File journal_ MEDCC_GUARDED_BY(mutex_);
   std::uint64_t journal_bytes_ MEDCC_GUARDED_BY(mutex_) = 0;
-  /// Between a flush's start and end steps: appends also go to
-  /// carried_, which holds the next journal's header plus those records.
-  bool capturing_ MEDCC_GUARDED_BY(mutex_) = false;
+  /// Empty outside a flush. Between its start and end steps: the next
+  /// journal's header, then every record appended since the start.
   std::string carried_ MEDCC_GUARDED_BY(mutex_);
   bool loaded_ MEDCC_GUARDED_BY(mutex_) = false;
   /// Insertions (or recovered journal records) not yet in the snapshot.

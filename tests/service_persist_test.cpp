@@ -263,14 +263,24 @@ TEST_F(ServicePersistTest, FlushPersistenceSnapshotsOnDemand) {
   ASSERT_TRUE(
       service.submit(request_for(example_instance(), 57.0)).get().ok());
   EXPECT_EQ(service.persist_stats().appends, 1u);
-  EXPECT_EQ(service.metrics().snapshot()[Latency::persist_append].count(),
-            1u);
   service.flush_persistence();
   const auto stats = service.persist_stats();
   EXPECT_GE(stats.flushes, 1u);
   EXPECT_EQ(stats.snapshot_records, 1u);
   EXPECT_EQ(stats.journal_bytes, medcc::persist::kFileHeaderSize);
   EXPECT_GE(service.metrics().value(Counter::persist_flushes), 1u);
+}
+
+TEST_F(ServicePersistTest, EachJournalAppendIsTimed) {
+  SchedulingService service(config());
+  ASSERT_TRUE(
+      service.submit(request_for(example_instance(), 57.0)).get().ok());
+  ASSERT_TRUE(
+      service.submit(request_for(example_instance(), 57.0)).get().ok());
+  // One miss journaled, one exact hit that journals nothing.
+  EXPECT_EQ(service.persist_stats().appends, 1u);
+  EXPECT_EQ(service.metrics().snapshot()[Latency::persist_append].count(),
+            1u);
 }
 
 TEST_F(ServicePersistTest, PersistenceDisabledWithoutDir) {
