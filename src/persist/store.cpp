@@ -168,7 +168,7 @@ void DurableStore::flush_serialized(bool only_if_dirty) {
 
 void DurableStore::abandon_capture_locked() {
   carried_ = std::string();
-  dirty_ = true;  // the appends since the start step are not snapshotted
+  dirty_ = true;  // the journal was not reset, so it still needs folding
   flush_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -220,13 +220,12 @@ void DurableStore::flusher_main() {
   for (;;) {
     {
       util::MutexLock lock(mutex_);
-      bool due = false;
-      while (!stop_ && !due) {
+      for (;;) {
+        if (stop_) return;
         const auto now = Clock::now();
         const bool interval_due = timed && now >= deadline;
         if (interval_due) deadline = now + interval;
-        due = flush_requested_ || (interval_due && dirty_);
-        if (due) break;
+        if (flush_requested_ || (interval_due && dirty_)) break;
         // Explicit wait (not the predicate overload) so the
         // thread-safety analysis sees the guarded reads under the
         // capability.
@@ -236,7 +235,6 @@ void DurableStore::flusher_main() {
           wake_.wait(lock.native());
         }
       }
-      if (stop_) return;
     }
     // The flush itself runs without the store lock held here.
     try {
