@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -425,6 +426,44 @@ TEST_F(DurableStoreTest, ConcurrentAppendsSurviveFlushes) {
   expect_superset(loaded, table.rows(), "after stop");
   EXPECT_EQ(std::set<std::string>(loaded.begin(), loaded.end()).size(),
             std::size_t{kThreads * kPerThread});
+}
+
+TEST_F(DurableStoreTest, EveryFlushLeavesTheAppendsThatReturned) {
+  // One thread flushes and then copies the directory, as a crash right
+  // after the flush would leave it, while others append. Each copy must
+  // hold every append that returned before the copy began, including
+  // those that landed while the flush ran.
+  LockedTable table;
+  DurableStore store(config(), [&table] { return table.rows(); });
+  (void)store.load();
+
+  constexpr int kThreads = 2;
+  constexpr int kPerThread = 400;
+  std::array<std::atomic<int>, kThreads> returned{};
+  std::vector<std::thread> appenders;
+  for (int t = 0; t < kThreads; ++t)
+    appenders.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        table.insert_then_append(
+            store, "t" + std::to_string(t) + "-" + std::to_string(i));
+        returned[t].store(i + 1, std::memory_order_release);
+      }
+    });
+  for (int round = 0; round < 10; ++round) {
+    store.flush();
+    std::array<int, kThreads> before{};
+    for (int t = 0; t < kThreads; ++t)
+      before[t] = returned[t].load(std::memory_order_acquire);
+    const fs::path copy = crash_copy("after_flush");
+    const std::vector<std::string> loaded = load_payloads(copy);
+    fs::remove_all(copy);
+    std::vector<std::string> expected;
+    for (int t = 0; t < kThreads; ++t)
+      for (int i = 0; i < before[t]; ++i)
+        expected.push_back("t" + std::to_string(t) + "-" + std::to_string(i));
+    expect_superset(loaded, expected, "round " + std::to_string(round));
+  }
+  for (std::thread& appender : appenders) appender.join();
 }
 
 TEST_F(DurableStoreTest, SnapshotSourceMayWaitOnAnAppendingThread) {
