@@ -210,6 +210,11 @@ void expect_superset(const std::vector<std::string>& loaded,
     EXPECT_TRUE(have.count(payload) == 1) << where << ": lost " << payload;
 }
 
+/// The `i`th payload appended by test thread `t`, unique across threads.
+std::string thread_payload(int t, int i) {
+  return "t" + std::to_string(t) + "-" + std::to_string(i);
+}
+
 /// A table guarded by its own lock, appended to the way the service
 /// does it: insert first, then journal.
 class LockedTable {
@@ -408,8 +413,7 @@ TEST_F(DurableStoreTest, ConcurrentAppendsSurviveFlushes) {
   for (int t = 0; t < kThreads; ++t)
     appenders.emplace_back([&store, &table, t] {
       for (int i = 0; i < kPerThread; ++i)
-        table.insert_then_append(
-            store, "t" + std::to_string(t) + "-" + std::to_string(i));
+        table.insert_then_append(store, thread_payload(t, i));
     });
   // Explicit flushes race the flusher thread and the appends.
   std::thread flusher([&store] {
@@ -444,8 +448,7 @@ TEST_F(DurableStoreTest, EveryFlushLeavesTheAppendsThatReturned) {
   for (int t = 0; t < kThreads; ++t)
     appenders.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        table.insert_then_append(
-            store, "t" + std::to_string(t) + "-" + std::to_string(i));
+        table.insert_then_append(store, thread_payload(t, i));
         returned[t].store(i + 1, std::memory_order_release);
       }
     });
@@ -460,7 +463,7 @@ TEST_F(DurableStoreTest, EveryFlushLeavesTheAppendsThatReturned) {
     std::vector<std::string> expected;
     for (int t = 0; t < kThreads; ++t)
       for (int i = 0; i < before[t]; ++i)
-        expected.push_back("t" + std::to_string(t) + "-" + std::to_string(i));
+        expected.push_back(thread_payload(t, i));
     expect_superset(loaded, expected, "round " + std::to_string(round));
   }
   for (std::thread& appender : appenders) appender.join();
@@ -468,7 +471,6 @@ TEST_F(DurableStoreTest, EveryFlushLeavesTheAppendsThatReturned) {
 
 TEST_F(DurableStoreTest, SnapshotSourceMayWaitOnAnAppendingThread) {
   LockedTable table;
-  table_ = {};
   DurableStore store(config(), [&] {
     std::vector<std::string> rows = table.rows();
     std::thread appender(
