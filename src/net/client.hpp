@@ -116,8 +116,8 @@ public:
   /// The server's membership/replication view (medcc_clusterctl).
   [[nodiscard]] ClusterStatus cluster_status();
 
-  /// Reads back the server's tracer state: counters, per-stage
-  /// aggregates, and up to `max_traces` retained traces (newest first;
+  /// Reads back the server's tracer state: counters and up to
+  /// `max_traces` retained traces (newest first;
   /// 0 = counters only). A tracerless server answers with enabled =
   /// false. Tracing is a v2-only exchange, gated like replication.
   [[nodiscard]] TraceDump trace_dump(std::uint32_t max_traces = 64);

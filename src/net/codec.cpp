@@ -670,11 +670,7 @@ std::string encode_trace_dump_response(const TraceDump& dump,
   writer.u64(dump.sampled);
   writer.u64(dump.completed);
   writer.u64(dump.dropped);
-  writer.u32(static_cast<std::uint32_t>(dump.stages.size()));
-  for (const obs::StageStat& stat : dump.stages) {
-    writer.u64(stat.count);
-    writer.u64(stat.total_ns);
-  }
+  writer.u32(0);  // the stage block: empty (see the decoder)
   writer.u32(static_cast<std::uint32_t>(dump.traces.size()));
   for (const obs::TraceRecord& trace : dump.traces) {
     writer.u64(trace.id.hi);
@@ -705,17 +701,14 @@ TraceDump decode_trace_dump_response(std::string_view body) {
   dump.sampled = reader.u64();
   dump.completed = reader.u64();
   dump.dropped = reader.u64();
+  // The stage block: (u64 count, u64 total_ns) per stage. Builds whose
+  // tracer kept per-stage aggregates fill it; it is read and dropped,
+  // because the stage distributions are metrics-table rows now.
   const std::uint32_t stage_count = reader.u32();
-  // A newer peer may report stages this build does not know; extra
-  // entries are read and dropped, missing ones stay zero.
   if (stage_count > 256)
     fail(WireError::limit_exceeded, "wire: too many trace stages");
   reader.expect_fits(stage_count, 16);
-  for (std::uint32_t s = 0; s < stage_count; ++s) {
-    const std::uint64_t count = reader.u64();
-    const std::uint64_t total_ns = reader.u64();
-    if (s < obs::kStageCount) dump.stages[s] = obs::StageStat{count, total_ns};
-  }
+  (void)reader.view(std::size_t{stage_count} * 16);
   const std::uint32_t trace_count = reader.u32();
   if (trace_count > kMaxDumpTraces)
     fail(WireError::limit_exceeded, "wire: too many traces in dump");

@@ -38,7 +38,6 @@
 // The full byte-layout tables live in docs/net.md.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -374,8 +373,9 @@ struct ClusterStatus {
 // -- trace dump (tracing extension, protocol v2) ---------------------------
 
 /// One node's tracer state as read back by medcc_tracectl: the counter
-/// snapshot, the per-stage aggregate breakdown, and the retained
-/// completed traces (bounded; newest first as the server dumped them).
+/// snapshot and the retained completed traces (bounded; newest first
+/// as the server dumped them). Per-stage distributions are rows of the
+/// metrics table, read over the stats frame.
 struct TraceDump {
   std::string node_id;
   bool enabled = false;
@@ -383,7 +383,6 @@ struct TraceDump {
   std::uint64_t sampled = 0;
   std::uint64_t completed = 0;
   std::uint64_t dropped = 0;
-  std::array<obs::StageStat, obs::kStageCount> stages{};
   std::vector<obs::TraceRecord> traces;
 };
 
@@ -392,7 +391,7 @@ inline constexpr std::uint64_t kMaxDumpTraces = 4096;
 inline constexpr std::uint64_t kMaxDumpSpans = 1024;
 
 /// `max_traces` caps how many retained traces the server returns
-/// (0 = counters and stage aggregates only).
+/// (0 = counters only).
 [[nodiscard]] std::string encode_trace_dump_request(std::uint32_t max_traces,
                                                     std::uint64_t request_id);
 [[nodiscard]] std::uint32_t decode_trace_dump_request(std::string_view body);

@@ -20,6 +20,7 @@ namespace medcc::net {
 namespace {
 
 using service::Counter;
+using service::Latency;
 
 // epoll user-data tags; connection serials start above the reserved ones.
 constexpr std::uint64_t kWakeTag = 0;
@@ -372,8 +373,9 @@ void Server::handle_frame(Reactor& r, Connection& conn,
   try {
     switch (header.type) {
       case FrameType::solve_request: {
+        // Untraced: no stage is timed, so the clock is not read.
         handle_solve(r, conn, header.request_id, body, obs::TraceContext{},
-                     obs::Tracer::now_ns());
+                     0);
         return;
       }
       case FrameType::traced_solve_request: {
@@ -402,7 +404,6 @@ void Server::handle_frame(Reactor& r, Connection& conn,
           dump.sampled = snap.sampled;
           dump.completed = snap.completed;
           dump.dropped = snap.dropped;
-          dump.stages = snap.stages;
           if (max_traces > 0)
             dump.traces = config_.tracer->recent(max_traces);
         }
@@ -454,15 +455,20 @@ void Server::handle_frame(Reactor& r, Connection& conn,
         } else {
           // Applying is a decode + sharded cache upsert -- cheap enough
           // for the reactor thread (no solver, no disk write).
-          const std::int64_t apply_start = obs::Tracer::now_ns();
+          const bool traced =
+              config_.tracer != nullptr && record.trace.valid();
+          const std::int64_t apply_start =
+              traced ? obs::Tracer::now_ns() : 0;
           ack.applied = config_.repl_apply(record.payload);
-          if (config_.tracer != nullptr && record.trace.valid()) {
+          if (traced) {
             // The record rode in on the origin request's trace: account
             // the apply against that id so one trace spans both nodes.
-            config_.tracer->record_remote(record.trace,
-                                          obs::Stage::repl_apply, apply_start,
-                                          obs::Tracer::now_ns(),
-                                          config_.node_id);
+            const std::int64_t apply_end = obs::Tracer::now_ns();
+            metrics_.record_stage(Latency::stage_repl_apply, apply_start,
+                                  apply_end);
+            config_.tracer->record_span(record.trace, obs::Stage::repl_apply,
+                                        apply_start, apply_end,
+                                        config_.node_id);
           }
           if (!ack.applied) ack.error = "record rejected";
         }
@@ -534,8 +540,11 @@ void Server::handle_solve(Reactor& r, Connection& conn,
         // Single-span, allocation-free accounting: the hit's duration
         // is already known, so no span buffer is opened (the <5%
         // fast-path budget, bench/net_throughput --trace-overhead).
+        const std::int64_t served_ns = obs::Tracer::now_ns();
+        metrics_.record_stage(Latency::stage_wire_fastpath, started_ns,
+                              served_ns);
         tracer->record_span(trace, obs::Stage::wire_fastpath, started_ns,
-                            obs::Tracer::now_ns(), config_.node_id);
+                            served_ns, config_.node_id);
       }
       queue_cached_frame(r, conn, *frame, request_id);
       return;
@@ -566,8 +575,10 @@ void Server::handle_solve(Reactor& r, Connection& conn,
   if (tracer != nullptr && trace.valid()) {
     request.trace = trace;
     request.trace_buffer = tracer->open(trace);
-    tracer->record(request.trace_buffer, obs::Stage::decode, started_ns,
-                   obs::Tracer::now_ns());
+    const std::int64_t decoded_ns = obs::Tracer::now_ns();
+    metrics_.record_stage(Latency::stage_decode, started_ns, decoded_ns);
+    obs::Tracer::record(request.trace_buffer, obs::Stage::decode, started_ns,
+                        decoded_ns);
   }
   const std::uint64_t serial = conn.serial;
   const std::uint64_t id = request_id;
@@ -583,11 +594,13 @@ void Server::handle_solve(Reactor& r, Connection& conn,
   // The callback captures the shared CompletionQueue, never `this`:
   // a solve that outlives stop()'s grace period (and possibly the
   // Server) still posts into live memory and is merely dropped. The
-  // WireCache is service-owned, so `wire` outlives the callback too,
-  // and the tracer outlives the service by the ServerConfig contract.
+  // WireCache and the metrics table are service-owned, so `wire` and
+  // `metrics` outlive the callback too, and the tracer outlives the
+  // service by the ServerConfig contract.
   service_.submit_async(
       std::move(request),
-      [queue = r.completions, wire = wire_cache_, serial, id,
+      [queue = r.completions, wire = wire_cache_, metrics = &metrics_,
+       serial, id,
        key = wire_cache_ != nullptr ? std::string(inner) : std::string(),
        body_hash,
        tracer, trace_ctx, buffer = std::move(trace_buffer), started_ns,
@@ -619,8 +632,10 @@ void Server::handle_solve(Reactor& r, Connection& conn,
         if (tracer != nullptr && trace_ctx.valid()) {
           // The edge-to-edge request span closes here, where the
           // response bytes exist; finish() then decides retention.
-          tracer->record(buffer, obs::Stage::request, started_ns,
-                         obs::Tracer::now_ns());
+          const std::int64_t done_ns = obs::Tracer::now_ns();
+          metrics->record_stage(Latency::stage_request, started_ns, done_ns);
+          obs::Tracer::record(buffer, obs::Stage::request, started_ns,
+                              done_ns);
           tracer->finish(buffer, origin);
         }
         queue->post(serial, std::move(bytes));

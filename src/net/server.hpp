@@ -36,7 +36,9 @@
 // Transport counters (frames, connections, protocol errors, ...) are
 // rows of the service's MetricsRegistry table, so the stats frame
 // serves them alongside the service's own (servers sharing one service
-// share these rows, max_connections included).
+// share these rows, max_connections included). So are the request,
+// decode, wire_fastpath and repl_apply stage rows, which a tracing
+// server samples on traced frames.
 //
 // Output is chunked: each connection's outbuf is a deque of pooled
 // buffers flushed with one gathered sendmsg (writev-style iovec) per
@@ -236,7 +238,8 @@ private:
   /// Shared tail of solve_request and traced_solve_request: wire-cache
   /// fast path keyed on the inner (trace-free) request bytes, flow
   /// control, decode, dispatch. `trace` is invalid for untraced frames;
-  /// `started_ns` anchors the request/decode spans when span-captured.
+  /// `started_ns` is a traced frame's arrival, which opens its request,
+  /// decode and wire_fastpath stages (0, unread, for untraced frames).
   void handle_solve(Reactor& r, Connection& conn, std::uint64_t request_id,
                     std::string_view inner, obs::TraceContext trace,
                     std::int64_t started_ns);

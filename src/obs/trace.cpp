@@ -20,9 +20,9 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 std::uint64_t thread_seed() {
-  // Hashed once per thread: this sits on the per-stage hot path, where
-  // a fresh std::hash<std::thread::id> per call is measurable. The
-  // avalanche matters too -- raw thread hashes are often near-adjacent
+  // Hashed once per thread: this sits on the mint path, where a fresh
+  // std::hash<std::thread::id> per call is measurable. The avalanche
+  // matters too -- raw thread hashes are often near-adjacent
   // pointers whose small XOR deltas would let two threads' id streams
   // overlap (see new_context).
   static thread_local const std::uint64_t seed =
@@ -171,19 +171,7 @@ std::shared_ptr<Trace> Tracer::open(const TraceContext& context) {
 
 void Tracer::record(const std::shared_ptr<Trace>& trace, Stage stage,
                     std::int64_t start_ns, std::int64_t end_ns) {
-  note_stage(stage, end_ns - start_ns);
   if (trace != nullptr) trace->add(stage, start_ns, end_ns);
-}
-
-void Tracer::note_stage(Stage stage, std::int64_t duration_ns) {
-  if (!config_.enabled) return;
-  const std::size_t shard = thread_seed() % kShards;
-  auto& cell = stages_[shard][static_cast<std::size_t>(stage)];
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  cell.total_ns.fetch_add(duration_ns > 0
-                              ? static_cast<std::uint64_t>(duration_ns)
-                              : 0,
-                          std::memory_order_relaxed);
 }
 
 void Tracer::finish(const std::shared_ptr<Trace>& trace,
@@ -214,9 +202,7 @@ void Tracer::finish(const std::shared_ptr<Trace>& trace,
 void Tracer::record_span(const TraceContext& context, Stage stage,
                          std::int64_t start_ns, std::int64_t end_ns,
                          std::string_view origin) {
-  if (!config_.enabled) return;
-  note_stage(stage, end_ns - start_ns);
-  if (!context.valid()) return;
+  if (!config_.enabled || !context.valid()) return;
   const bool slow =
       config_.slow_ms > 0.0 &&
       static_cast<double>(end_ns - start_ns) >= config_.slow_ms * 1e6;
@@ -234,12 +220,6 @@ void Tracer::record_span(const TraceContext& context, Stage stage,
   retain(std::move(record));
 }
 
-void Tracer::record_remote(const TraceContext& context, Stage stage,
-                           std::int64_t start_ns, std::int64_t end_ns,
-                           std::string_view origin) {
-  record_span(context, stage, start_ns, end_ns, origin);
-}
-
 void Tracer::retain(TraceRecord record) {
   util::MutexLock lock(ring_mutex_);
   ring_.push_back(std::move(record));
@@ -254,14 +234,6 @@ TracerSnapshot Tracer::snapshot() const {
   snap.sampled = sampled_.load();
   snap.completed = completed_.load();
   snap.dropped = dropped_.load();
-  for (const auto& shard : stages_) {
-    for (std::size_t s = 0; s < kStageCount; ++s) {
-      snap.stages[s].count +=
-          shard[s].count.load(std::memory_order_relaxed);
-      snap.stages[s].total_ns +=
-          shard[s].total_ns.load(std::memory_order_relaxed);
-    }
-  }
   return snap;
 }
 

@@ -3,7 +3,7 @@
 // Every traced request gets a 128-bit trace id, minted at the client
 // edge (or set explicitly on the request); servers adopt contexts off
 // the wire rather than minting their own, so untraced legacy clients
-// cost nothing beyond aggregates. As the request moves through the stack --
+// cost nothing. As the request moves through the stack --
 // reactor decode, admission-queue wait, solver execution, cache lookup,
 // persistence append, replication push/apply -- each stage records a
 // Span {stage, start_ns, end_ns} against the request's Trace. The
@@ -12,12 +12,12 @@
 // journey even across a ClusterClient failover retry and onto the
 // replica that applies the replicated cache record.
 //
+// The tracer keeps spans only. Each server-side stage's distribution
+// across requests is a latency row of the service's metrics table
+// (service/metrics.hpp), recorded beside the span on traced requests.
+//
 // Cost model, hot path first:
 //
-//  * Aggregate per-stage accounting (count + total ns) is ALWAYS on and
-//    is the only thing an unsampled request pays: one relaxed
-//    PaddedAtomic add per stage into a thread-hashed shard -- no locks,
-//    no allocation, no shared cache line.
 //  * Span capture is head-sampled 1-in-N (Config::sample_every) at the
 //    moment the trace id is minted; a sampled request carries a small
 //    fixed-capacity span buffer (one allocation per sampled request).
@@ -28,7 +28,7 @@
 // Completed traces land in a bounded ring (mutex-guarded -- finish()
 // runs at most once per request, far off the per-stage hot path) that
 // the trace_dump admin frame and tools/medcc_tracectl read back:
-// recent traces, slowest-N, per-stage breakdown.
+// recent traces and slowest-N.
 //
 // Thread contract: Tracer is fully thread-safe. A Trace's span buffer
 // is append-only through an atomic cursor, so stages on different
@@ -36,7 +36,6 @@
 // see slots published by finish().
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -145,20 +144,13 @@ struct TraceRecord {
   std::vector<Span> spans;
 };
 
-/// Aggregate view of one stage across all requests since start.
-struct StageStat {
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-};
-
-/// Counters + per-stage aggregates; cheap to take at any time.
+/// The tracer's counters; cheap to take at any time.
 struct TracerSnapshot {
   bool enabled = false;
   std::uint64_t started = 0;    ///< trace contexts minted
   std::uint64_t sampled = 0;    ///< head-sampled at mint time
   std::uint64_t completed = 0;  ///< traces retained in the ring
   std::uint64_t dropped = 0;    ///< finished but not retained
-  std::array<StageStat, kStageCount> stages{};
 };
 
 class Tracer {
@@ -190,39 +182,28 @@ public:
 
   /// Opens the span buffer for a request. Non-null when tracing is on
   /// and the request is head-sampled OR the slow gate is armed (every
-  /// request is then a slow candidate). Null means: aggregate-only.
+  /// request is then a slow candidate). Null means: no spans kept.
   [[nodiscard]] std::shared_ptr<Trace> open(const TraceContext& context);
 
-  /// Records one span: aggregates always, the span buffer when `trace`
-  /// is non-null. Safe with trace == nullptr.
-  void record(const std::shared_ptr<Trace>& trace, Stage stage,
-              std::int64_t start_ns, std::int64_t end_ns);
-
-  /// Aggregate-only accounting for paths that never buffer spans
-  /// (e.g. the unsampled wire-cache fast path). Lock-free.
-  void note_stage(Stage stage, std::int64_t duration_ns);
+  /// Appends one span to `trace`'s buffer. Safe with trace == nullptr.
+  static void record(const std::shared_ptr<Trace>& trace, Stage stage,
+                     std::int64_t start_ns, std::int64_t end_ns);
 
   /// Completes a trace: retains it in the ring when it was head-sampled
   /// or its wall time crossed slow_ms. Safe with trace == nullptr.
   void finish(const std::shared_ptr<Trace>& trace, std::string_view origin);
 
-  /// Single-span accounting for paths whose whole journey is one
-  /// interval and whose duration is known up front (the zero-copy
-  /// wire-cache hit): aggregates always, and retains a one-span ring
-  /// entry when the context was sampled OR the interval crossed the
-  /// slow gate. No span buffer, no allocation -- this is what keeps
-  /// tracing within its <5% fast-path budget (bench/net_throughput
-  /// --trace-overhead).
+  /// Single-span retention for paths whose whole journey is one
+  /// interval and whose duration is known up front: the zero-copy
+  /// wire-cache hit, and a peer's repl_apply, which is keyed by the
+  /// ORIGINAL trace id so dumps across nodes correlate. Retains a
+  /// one-span ring entry when the context was sampled OR the interval
+  /// crossed the slow gate. No span buffer, no allocation -- this is
+  /// what keeps tracing within its <5% fast-path budget
+  /// (bench/net_throughput --trace-overhead).
   void record_span(const TraceContext& context, Stage stage,
                    std::int64_t start_ns, std::int64_t end_ns,
                    std::string_view origin);
-
-  /// Adopts one remotely originated span (e.g. repl_apply on the node
-  /// that received the record): record_span keyed by the ORIGINAL
-  /// trace id so dumps across nodes correlate.
-  void record_remote(const TraceContext& context, Stage stage,
-                     std::int64_t start_ns, std::int64_t end_ns,
-                     std::string_view origin);
 
   [[nodiscard]] TracerSnapshot snapshot() const;
   /// Most recent retained traces, newest first, at most `limit`.
@@ -243,17 +224,6 @@ private:
 
   void retain(TraceRecord record) MEDCC_EXCLUDES(ring_mutex_);
 
-  /// Per-stage aggregates, sharded by thread hash to keep concurrent
-  /// workers off each other's cache lines. One cell = one cache line:
-  /// count and total_ns are always bumped together by the same thread,
-  /// so padding them apart (two PaddedAtomics) would double the lines
-  /// touched per note_stage for no sharing benefit.
-  static constexpr std::size_t kShards = 8;
-  struct alignas(util::kCacheLineSize) StageCell {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> total_ns{0};
-  };
-
   const Config config_;
   /// sample_every - 1 when sample_every is a power of two, else 0.
   const std::uint64_t sample_mask_;
@@ -265,9 +235,6 @@ private:
   util::PaddedAtomic<std::uint64_t> sampled_;
   util::PaddedAtomic<std::uint64_t> completed_;
   util::PaddedAtomic<std::uint64_t> dropped_;
-  /// Relaxed atomics, sharded by thread hash; never under ring_mutex_.
-  MEDCC_NOT_GUARDED
-  std::array<std::array<StageCell, kStageCount>, kShards> stages_;
 
   mutable util::Mutex ring_mutex_;
   std::deque<TraceRecord> ring_ MEDCC_GUARDED_BY(ring_mutex_);

@@ -81,7 +81,11 @@ enum class Counter : std::uint8_t {
   solver_sweep_reuses,
 };
 
-/// Latency histogram ids (seconds), in rendering order.
+/// Latency histogram ids (seconds), in rendering order. The stage_*
+/// rows hold the distributions of the tracer stages (obs::Stage) that
+/// have no other row, sampled on traced requests at a tracing node;
+/// the queue_wait and persist_append stages are the queue_delay and
+/// persist_append rows, which every request records.
 enum class Latency : std::uint8_t {
   queue_delay,
   solve,
@@ -89,6 +93,13 @@ enum class Latency : std::uint8_t {
   persist_load,
   persist_flush,
   persist_append,
+  stage_request,
+  stage_decode,
+  stage_cache_lookup,
+  stage_solve,
+  stage_wire_fastpath,
+  stage_repl_push,
+  stage_repl_apply,
 };
 
 enum class MetricKind : std::uint8_t { counter, gauge, histogram };
@@ -161,9 +172,16 @@ inline constexpr auto kLatencyRows = std::to_array<MetricRow>({
   {"persist_load_seconds", "medcc_persist_load_seconds", "", "Warm-start load time", MetricKind::histogram},
   {"persist_flush_seconds", "medcc_persist_flush_seconds", "", "Snapshot flush time", MetricKind::histogram},
   {"persist_append_seconds", "medcc_persist_append_seconds", "", "Journal append time: lock wait, write and fsync", MetricKind::histogram},
+  {"stage_request_seconds", "medcc_stage_request_seconds", "", "Traced requests: frame arrival to response bytes", MetricKind::histogram},
+  {"stage_decode_seconds", "medcc_stage_decode_seconds", "", "Traced requests: reactor-side frame decode", MetricKind::histogram},
+  {"stage_cache_lookup_seconds", "medcc_stage_cache_lookup_seconds", "", "Traced requests: result-cache probe (fingerprint and find)", MetricKind::histogram},
+  {"stage_solve_seconds", "medcc_stage_solve_seconds", "", "Traced requests: solver execution", MetricKind::histogram},
+  {"stage_wire_fastpath_seconds", "medcc_stage_wire_fastpath_seconds", "", "Traced requests: zero-copy wire-cache hit serve", MetricKind::histogram},
+  {"stage_repl_push_seconds", "medcc_stage_repl_push_seconds", "", "Traced requests: replication publish on the solving node", MetricKind::histogram},
+  {"stage_repl_apply_seconds", "medcc_stage_repl_apply_seconds", "", "Traced requests: replicated-record apply on a peer", MetricKind::histogram},
 });
 inline constexpr std::size_t kLatencies = kLatencyRows.size();
-static_assert(static_cast<std::size_t>(Latency::persist_append) + 1 ==
+static_assert(static_cast<std::size_t>(Latency::stage_repl_apply) + 1 ==
                   kLatencies,
               "one row per Latency");
 
@@ -227,6 +245,10 @@ public:
 
   void record(Latency l, double seconds) {
     latency_[static_cast<std::size_t>(l)].record(seconds);
+  }
+  /// One traced stage, timed in obs::Tracer::now_ns() nanoseconds.
+  void record_stage(Latency l, std::int64_t start_ns, std::int64_t end_ns) {
+    record(l, static_cast<double>(end_ns - start_ns) * 1e-9);
   }
 
   /// Per-solver request count. Callers pass registered solver names

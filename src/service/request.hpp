@@ -54,7 +54,7 @@ struct SchedulingRequest {
   obs::TraceContext trace;
   /// Span buffer when the request is span-captured (opened via
   /// obs::Tracer::open by the front end that minted/received the
-  /// context); nullptr = aggregate-only accounting.
+  /// context); nullptr = no spans kept.
   std::shared_ptr<obs::Trace> trace_buffer;
 };
 

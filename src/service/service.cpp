@@ -26,9 +26,10 @@ struct SchedulingService::Ticket {
   SchedulingRequest request;
   std::function<void(SchedulingResponse)> done;
   std::chrono::steady_clock::time_point admitted;
-  /// Tracer time base of `admitted` (only meaningful when tracing):
-  /// spans always use the real steady clock even when config_.clock is
-  /// an injected fake, so traces stay truthful under frozen-clock tests.
+  /// Tracer time base of `admitted`, set only when the request buffers
+  /// spans: spans always use the real steady clock even when
+  /// config_.clock is an injected fake, so traces stay truthful under
+  /// frozen-clock tests.
   std::int64_t admitted_ns = 0;
 };
 
@@ -70,9 +71,10 @@ SchedulingService::SchedulingService(ServiceConfig config)
       metrics_.add(Counter::persist_flushes);
       metrics_.record(Latency::persist_flush, seconds);
     };
-    // Runs under the store lock: any concurrent insertion either made it
-    // into this export (its cache update happened before) or its append
-    // is still waiting on that lock and lands in the rotated journal.
+    // Runs without the store lock, while appends go on. Every insertion
+    // happens before its append: an entry whose append returned before
+    // the flush began is in this export, and a later append rides in
+    // the carried tail of the journal that survives the flush.
     store_ = std::make_unique<persist::DurableStore>(
         std::move(store_config), [this] {
           // Piggyback the TTL sweep on the flusher's cadence so expired
@@ -178,7 +180,8 @@ void SchedulingService::submit_async(
   }
   metrics_.queue_entered();
   ticket->admitted = clock_();
-  if (config_.tracer != nullptr) ticket->admitted_ns = obs::Tracer::now_ns();
+  if (ticket->request.trace_buffer != nullptr)
+    ticket->admitted_ns = obs::Tracer::now_ns();
 
   const bool submitted = pool_.try_submit([this, ticket] { run(*ticket); });
   if (!submitted) {
@@ -216,13 +219,11 @@ void SchedulingService::run(Ticket& ticket) {
   const util::LogTraceScope log_scope(
       ticket.request.trace.valid() ? ticket.request.trace.id.to_hex()
                                    : std::string());
-  obs::Tracer* const tracer = config_.tracer;
-  std::int64_t solve_start_ns = 0;
-  if (tracer != nullptr) {
-    solve_start_ns = obs::Tracer::now_ns();
-    tracer->record(ticket.request.trace_buffer, obs::Stage::queue_wait,
-                   ticket.admitted_ns, solve_start_ns);
-  }
+  // The queue_wait stage's distribution is the queue_delay row below;
+  // the tracer keeps only the span.
+  if (ticket.request.trace_buffer != nullptr)
+    ticket.request.trace_buffer->add(obs::Stage::queue_wait,
+                                     ticket.admitted_ns, obs::Tracer::now_ns());
 
   const double queue_delay_ms = to_ms(started - ticket.admitted);
   SchedulingResponse response;
@@ -274,9 +275,19 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
   SchedulingResponse response;
   response.status = ResponseStatus::ok;
 
-  obs::Tracer* const tracer = config_.tracer;
-  const auto span_clock = [tracer]() -> std::int64_t {
-    return tracer != nullptr ? obs::Tracer::now_ns() : 0;
+  // A traced request at a tracing node times its stages: each closes
+  // with a sample in the stage's metrics row and, when the request
+  // buffers spans, its span.
+  const bool traced = config_.tracer != nullptr && request.trace.valid();
+  const auto span_clock = [traced]() -> std::int64_t {
+    return traced ? obs::Tracer::now_ns() : 0;
+  };
+  const auto close_stage = [&](Latency row, obs::Stage stage,
+                               std::int64_t start_ns) {
+    if (!traced) return;
+    const std::int64_t end_ns = obs::Tracer::now_ns();
+    metrics_.record_stage(row, start_ns, end_ns);
+    obs::Tracer::record(request.trace_buffer, stage, start_ns, end_ns);
   };
 
   // An interned instance answers from the solver's sweep when it has one.
@@ -296,9 +307,7 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
     response.cache = CacheOutcome::bypass;
     const std::int64_t solver_start = span_clock();
     response.result = run_solver();
-    if (tracer != nullptr)
-      tracer->record(request.trace_buffer, obs::Stage::solve, solver_start,
-                     obs::Tracer::now_ns());
+    close_stage(Latency::stage_solve, obs::Stage::solve, solver_start);
     sched::detail::check_schedule_invariants(
         instance, response.result.schedule, response.result.eval,
         request.budget, sched::detail::kUnconstrained, "service");
@@ -308,9 +317,8 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
   const std::int64_t lookup_start = span_clock();
   const FingerprintDetail fp = fingerprint(request);
   auto hit = cache_->find(fp);
-  if (tracer != nullptr)
-    tracer->record(request.trace_buffer, obs::Stage::cache_lookup,
-                   lookup_start, obs::Tracer::now_ns());
+  close_stage(Latency::stage_cache_lookup, obs::Stage::cache_lookup,
+              lookup_start);
   if (hit) {
     if (hit->exact) {
       response.cache = CacheOutcome::hit_exact;
@@ -343,9 +351,7 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
   response.cache = CacheOutcome::miss;
   const std::int64_t solver_start = span_clock();
   response.result = run_solver();
-  if (tracer != nullptr)
-    tracer->record(request.trace_buffer, obs::Stage::solve, solver_start,
-                   obs::Tracer::now_ns());
+  close_stage(Latency::stage_solve, obs::Stage::solve, solver_start);
   sched::detail::check_schedule_invariants(
       instance, response.result.schedule, response.result.eval,
       request.budget, sched::detail::kUnconstrained, "service");
@@ -363,11 +369,12 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
       const std::int64_t append_start = span_clock();
       const auto append_started = clock_();
       store_->append(payload);
+      // This row is also the persist_append stage's distribution.
       metrics_.record(Latency::persist_append,
                       to_seconds(clock_() - append_started));
-      if (tracer != nullptr)
-        tracer->record(request.trace_buffer, obs::Stage::persist_append,
-                       append_start, obs::Tracer::now_ns());
+      if (traced)
+        obs::Tracer::record(request.trace_buffer, obs::Stage::persist_append,
+                            append_start, obs::Tracer::now_ns());
       metrics_.add(Counter::persist_journal_appends);
     }
     // Publish the locally solved entry to the replicator (peers apply
@@ -377,9 +384,8 @@ SchedulingResponse SchedulingService::solve(const SchedulingRequest& request) {
     if (config_.on_cache_insert != nullptr) {
       const std::int64_t push_start = span_clock();
       config_.on_cache_insert(std::move(payload), request.trace);
-      if (tracer != nullptr)
-        tracer->record(request.trace_buffer, obs::Stage::repl_push,
-                       push_start, obs::Tracer::now_ns());
+      close_stage(Latency::stage_repl_push, obs::Stage::repl_push,
+                  push_start);
     }
   }
   return response;

@@ -94,8 +94,9 @@ struct ServiceConfig {
       on_cache_insert{};
   /// Request tracer (docs/observability.md); nullptr = untraced. The
   /// service records queue_wait / cache_lookup / solve /
-  /// persist_append / repl_push spans against each request's trace.
-  /// Not owned; must outlive the service.
+  /// persist_append / repl_push spans against each traced request, and
+  /// samples the cache_lookup / solve / repl_push stage rows of its
+  /// metrics table. Not owned; must outlive the service.
   obs::Tracer* tracer = nullptr;
   /// Solver table; nullptr = sched::SolverRegistry::built_in().
   const sched::SolverRegistry* registry = nullptr;

@@ -2,8 +2,10 @@
 // id, minted once at the client edge, must name the whole journey --
 // the solve on the tenant's primary, the replication apply on each
 // peer, and (after the primary is hard-stopped) the client's failover
-// retry onto a survivor. This is the acceptance scenario of the
-// observability PR, driven in-process instead of via medcc_tracectl.
+// retry onto a survivor. The primary's repl_push and each peer's
+// repl_apply also land in that node's stage rows of the metrics table.
+// This is the acceptance scenario of the observability PR, driven
+// in-process instead of via medcc_tracectl.
 #include "net/cluster_client.hpp"
 
 #include <gtest/gtest.h>
@@ -46,6 +48,7 @@ using medcc::obs::TraceId;
 using medcc::obs::TraceRecord;
 using medcc::obs::Tracer;
 using medcc::sched::Instance;
+using medcc::service::Latency;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingService;
 using medcc::service::ServiceConfig;
@@ -170,6 +173,10 @@ public:
   [[nodiscard]] const Tracer& tracer(std::size_t index) const {
     return *nodes_[index].tracer;
   }
+  /// Samples in one of a node's metrics rows.
+  [[nodiscard]] std::uint64_t samples(std::size_t index, Latency row) const {
+    return nodes_[index].service->metrics().snapshot()[row].count();
+  }
   [[nodiscard]] std::uint16_t port(std::size_t index) const {
     return endpoints_[index].port;
   }
@@ -216,6 +223,7 @@ TEST(ClusterTrace, OneIdSpansClientSolveAndEveryReplicationApply) {
   for (const TraceRecord& record : on_primary)
     primary_served |= has_stage(record, Stage::request);
   EXPECT_TRUE(primary_served);
+  EXPECT_EQ(cluster.samples(primary, Latency::stage_repl_push), 1u);
 
   // ...and both peers adopted it when they applied the replicated
   // record: one id, three nodes, no correlation joins needed.
@@ -228,6 +236,8 @@ TEST(ClusterTrace, OneIdSpansClientSolveAndEveryReplicationApply) {
     for (const TraceRecord& record : on_peer)
       applied |= has_stage(record, Stage::repl_apply);
     EXPECT_TRUE(applied) << "peer node" << i << " lacks a repl_apply span";
+    EXPECT_EQ(cluster.samples(i, Latency::stage_repl_apply), 1u)
+        << "peer node" << i;
   }
 }
 

@@ -127,8 +127,6 @@ net::TraceDump trace_dump() {
   dump.sampled = 10;
   dump.completed = 2;
   dump.dropped = 1;
-  for (std::size_t s = 0; s < dump.stages.size(); ++s)
-    dump.stages[s] = medcc::obs::StageStat{s + 1, 1000 * (s + 1)};
   medcc::obs::TraceRecord trace;
   trace.id = trace_context().id;
   trace.origin = "client";

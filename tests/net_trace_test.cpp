@@ -3,6 +3,7 @@
 // (a verbatim solve_request body behind the prefix), the repl_insert
 // trace suffix, the trace_dump exchange, and the end-to-end contract
 // over loopback -- a traced solve lands in the server's trace dump,
+// the stage rows of the metrics table sample traced requests only,
 // response bytes are identical with tracing on and off (fresh solve
 // AND wire-cache hit), and a tracerless server still answers traced
 // frames.
@@ -22,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "sched/instance.hpp"
 #include "service/service.hpp"
+#include "util/bytes.hpp"
 #include "util/socket.hpp"
 #include "workflow/patterns.hpp"
 
@@ -50,6 +52,7 @@ using medcc::obs::TraceRecord;
 using medcc::obs::Tracer;
 using medcc::sched::Instance;
 using medcc::service::Counter;
+using medcc::service::Latency;
 using medcc::service::SchedulingRequest;
 using medcc::service::SchedulingResponse;
 using medcc::service::SchedulingService;
@@ -217,7 +220,8 @@ TEST(TraceCodec, ReplInsertCarriesAnOptionalTraceSuffix) {
   EXPECT_TRUE(traced_record.trace.sampled);
 }
 
-TEST(TraceCodec, TraceDumpRoundTripsCountersStagesAndTraces) {
+/// A dump with every counter set and one slow two-span trace.
+TraceDump sample_dump() {
   TraceDump dump;
   dump.node_id = "node-7";
   dump.enabled = true;
@@ -225,9 +229,6 @@ TEST(TraceCodec, TraceDumpRoundTripsCountersStagesAndTraces) {
   dump.sampled = 16;
   dump.completed = 14;
   dump.dropped = 986;
-  dump.stages[static_cast<std::size_t>(Stage::solve)] = {12, 3456789};
-  dump.stages[static_cast<std::size_t>(Stage::wire_fastpath)] = {988, 12345};
-
   TraceRecord record;
   record.id = TraceId{0x123, 0x456};
   record.origin = "node-7";
@@ -237,7 +238,37 @@ TEST(TraceCodec, TraceDumpRoundTripsCountersStagesAndTraces) {
   record.spans.push_back(Span{Stage::decode, 1'000'000, 1'001'000});
   record.spans.push_back(Span{Stage::solve, 1'001'000, 1'042'000});
   dump.traces.push_back(record);
+  return dump;
+}
 
+/// Every field of `back` equals `dump`'s.
+void expect_same_dump(const TraceDump& back, const TraceDump& dump) {
+  EXPECT_EQ(back.node_id, dump.node_id);
+  EXPECT_EQ(back.enabled, dump.enabled);
+  EXPECT_EQ(back.started, dump.started);
+  EXPECT_EQ(back.sampled, dump.sampled);
+  EXPECT_EQ(back.completed, dump.completed);
+  EXPECT_EQ(back.dropped, dump.dropped);
+  ASSERT_EQ(back.traces.size(), dump.traces.size());
+  for (std::size_t t = 0; t < dump.traces.size(); ++t) {
+    const TraceRecord& a = back.traces[t];
+    const TraceRecord& b = dump.traces[t];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.origin, b.origin);
+    EXPECT_EQ(a.started_ns, b.started_ns);
+    EXPECT_EQ(a.total_ns, b.total_ns);
+    EXPECT_EQ(a.slow, b.slow);
+    ASSERT_EQ(a.spans.size(), b.spans.size());
+    for (std::size_t i = 0; i < b.spans.size(); ++i) {
+      EXPECT_EQ(a.spans[i].stage, b.spans[i].stage);
+      EXPECT_EQ(a.spans[i].start_ns, b.spans[i].start_ns);
+      EXPECT_EQ(a.spans[i].end_ns, b.spans[i].end_ns);
+    }
+  }
+}
+
+TEST(TraceCodec, TraceDumpRoundTripsCountersAndTraces) {
+  const TraceDump dump = sample_dump();
   const std::string frame = medcc::net::encode_trace_dump_response(dump, 9);
   const auto header = medcc::net::parse_frame_header(frame);
   ASSERT_TRUE(header);
@@ -246,24 +277,33 @@ TEST(TraceCodec, TraceDumpRoundTripsCountersStagesAndTraces) {
 
   const TraceDump back = medcc::net::decode_trace_dump_response(
       std::string_view(frame).substr(medcc::net::kHeaderSize));
-  EXPECT_EQ(back.node_id, "node-7");
-  EXPECT_TRUE(back.enabled);
-  EXPECT_EQ(back.started, 1000u);
-  EXPECT_EQ(back.sampled, 16u);
-  EXPECT_EQ(back.completed, 14u);
-  EXPECT_EQ(back.dropped, 986u);
-  EXPECT_EQ(back.stages[static_cast<std::size_t>(Stage::solve)].count, 12u);
-  EXPECT_EQ(back.stages[static_cast<std::size_t>(Stage::solve)].total_ns,
-            3456789u);
-  ASSERT_EQ(back.traces.size(), 1u);
-  EXPECT_EQ(back.traces[0].id, record.id);
-  EXPECT_EQ(back.traces[0].origin, "node-7");
-  EXPECT_EQ(back.traces[0].started_ns, 1'000'000);
-  EXPECT_EQ(back.traces[0].total_ns, 42'000);
-  EXPECT_TRUE(back.traces[0].slow);
-  ASSERT_EQ(back.traces[0].spans.size(), 2u);
-  EXPECT_EQ(back.traces[0].spans[1].stage, Stage::solve);
-  EXPECT_EQ(back.traces[0].spans[1].duration_ns(), 41'000);
+  expect_same_dump(back, dump);
+}
+
+TEST(TraceCodec, DumpWithTheOlderStageBlockDecodesToTheSameDump) {
+  // Builds whose tracer kept per-stage aggregates sent one (u64 count,
+  // u64 total_ns) entry per stage, 11 of them, where the encoder now
+  // writes an empty block. Such a dump decodes to the same counters
+  // and traces.
+  const TraceDump dump = sample_dump();
+  const std::string frame = medcc::net::encode_trace_dump_response(dump, 9);
+  const std::string_view body =
+      std::string_view(frame).substr(medcc::net::kHeaderSize);
+  // node_id (u32 length + bytes), the enabled flag, four u64 counters.
+  const std::size_t block = 4 + dump.node_id.size() + 1 + 4 * 8;
+  ASSERT_EQ(body.substr(block, 4), std::string_view("\0\0\0\0", 4));
+
+  medcc::util::ByteWriter stages;
+  stages.u32(11);
+  for (std::uint64_t s = 0; s < 11; ++s) {
+    stages.u64(s + 1);           // count
+    stages.u64(1000 * (s + 1));  // total_ns
+  }
+  const std::string older = std::string(body.substr(0, block)) +
+                            stages.bytes() +
+                            std::string(body.substr(block + 4));
+  EXPECT_EQ(older.size(), body.size() + 11 * 16);
+  expect_same_dump(medcc::net::decode_trace_dump_response(older), dump);
 }
 
 TEST(TraceCodec, TraceDumpRequestRoundTrips) {
@@ -315,7 +355,55 @@ TEST(NetTrace, TracedSolveLandsInTheServersTraceDump) {
     EXPECT_TRUE(saw_request);
   }
   EXPECT_TRUE(found) << "trace id not present in dump";
-  EXPECT_GT(dump.stages[static_cast<std::size_t>(Stage::request)].count, 0u);
+}
+
+TEST(NetTrace, StageRowsSampleTracedRequestsOnly) {
+  // No span capture at all: the stage rows of the metrics table sample
+  // every traced request at a tracing node, buffered or not.
+  Tracer tracer({.sample_every = 0, .slow_ms = 0.0});
+  ServiceConfig service_config;
+  service_config.threads = 1;
+  service_config.tracer = &tracer;
+  SchedulingService service(service_config);
+  ServerConfig server_config;
+  server_config.tracer = &tracer;
+  Server server(service, server_config);
+  Client client(client_for(server));
+
+  const auto count = [&service](Latency row) {
+    return service.metrics().snapshot()[row].count();
+  };
+  const auto expect_counts = [&](std::uint64_t request, std::uint64_t miss,
+                                 std::uint64_t fastpath, const char* when) {
+    SCOPED_TRACE(when);
+    EXPECT_EQ(count(Latency::stage_request), request);
+    EXPECT_EQ(count(Latency::stage_decode), miss);
+    EXPECT_EQ(count(Latency::stage_cache_lookup), miss);
+    EXPECT_EQ(count(Latency::stage_solve), miss);
+    EXPECT_EQ(count(Latency::stage_wire_fastpath), fastpath);
+    EXPECT_EQ(count(Latency::stage_repl_push), 0u);   // no replicator
+    EXPECT_EQ(count(Latency::stage_repl_apply), 0u);  // no peer
+  };
+  // An untraced miss and its untraced verbatim repeat: no stage row.
+  const SchedulingRequest untraced = request_for(example_instance(), 57.0);
+  ASSERT_TRUE(client.solve(untraced).ok());
+  ASSERT_TRUE(client.solve(untraced).ok());
+  EXPECT_EQ(service.metrics().value(Counter::wire_fastpath_hits), 1u);
+  expect_counts(0, 0, 0, "untraced");
+
+  // A traced miss: one sample in each stage it passes through.
+  SchedulingRequest traced = request_for(example_instance(), 60.0);
+  traced.trace = TraceContext{TraceId{0x51, 0x52}, false};
+  ASSERT_TRUE(client.solve(traced).ok());
+  expect_counts(1, 1, 0, "traced miss");
+
+  // Its traced verbatim repeat is a wire-cache hit: wire_fastpath only.
+  ASSERT_TRUE(client.solve(traced).ok());
+  EXPECT_EQ(service.metrics().value(Counter::wire_fastpath_hits), 2u);
+  expect_counts(1, 1, 1, "traced repeat");
+
+  // Rows only: the tracer retained nothing.
+  EXPECT_TRUE(tracer.recent(8).empty());
 }
 
 TEST(NetTrace, ResponseBytesAreIdenticalWithTracingOnAndOff) {

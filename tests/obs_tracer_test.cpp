@@ -2,7 +2,7 @@
 // round-trips, deterministic id-derived head sampling, the span-buffer
 // open/record/finish lifecycle with its slow-outlier gate, bounded
 // ring retention, the allocation-free single-span path, remote span
-// adoption, and aggregate snapshots. The final tests hammer one Tracer
+// adoption, and counter snapshots. The final tests hammer one Tracer
 // (and one shared Trace) from many threads and double as the TSan
 // stress for the subsystem.
 #include "obs/trace.hpp"
@@ -123,11 +123,13 @@ TEST(Tracer, DisabledTracerMintsNothing) {
   const TraceContext context = tracer.new_context();
   EXPECT_FALSE(context.valid());
   EXPECT_EQ(tracer.open(TraceContext{TraceId{1, 2}, true}), nullptr);
-  tracer.note_stage(Stage::solve, 1000);
+  tracer.record_span(TraceContext{TraceId{1, 2}, true}, Stage::solve, 0,
+                     1000, "node-a");
   const TracerSnapshot snap = tracer.snapshot();
   EXPECT_FALSE(snap.enabled);
   EXPECT_EQ(snap.started, 0u);
-  EXPECT_EQ(snap.stages[static_cast<std::size_t>(Stage::solve)].count, 0u);
+  EXPECT_EQ(snap.completed, 0u);
+  EXPECT_TRUE(tracer.recent(4).empty());
 }
 
 TEST(Tracer, OpenGatesOnSamplingAndSlowGate) {
@@ -190,11 +192,10 @@ TEST(Tracer, SlowGateKeepsUnsampledOutliersAndDropsFastOnes) {
 
 TEST(Tracer, FinishWithNullTraceIsSafe) {
   Tracer tracer(sampled_config());
-  tracer.record(nullptr, Stage::solve, 0, 500);  // aggregate-only
+  tracer.record(nullptr, Stage::solve, 0, 500);  // no buffer: a no-op
   tracer.finish(nullptr, "node-a");
-  EXPECT_EQ(tracer.snapshot().stages[static_cast<std::size_t>(Stage::solve)]
-                .count,
-            1u);
+  EXPECT_EQ(tracer.snapshot().completed, 0u);
+  EXPECT_EQ(tracer.snapshot().dropped, 0u);
   EXPECT_EQ(tracer.recent(4).size(), 0u);
 }
 
@@ -237,14 +238,10 @@ TEST(Tracer, RecordSpanRetainsSampledAndSlowOnly) {
   config.slow_ms = 25.0;
   Tracer tracer(config);
 
-  // Fast and unsampled: aggregates only, nothing retained.
+  // Fast and unsampled: nothing retained.
   tracer.record_span(TraceContext{TraceId{1, 1}, false}, Stage::wire_fastpath,
                      0, 1000, "node-a");
   EXPECT_EQ(tracer.recent(8).size(), 0u);
-  EXPECT_EQ(tracer.snapshot()
-                .stages[static_cast<std::size_t>(Stage::wire_fastpath)]
-                .count,
-            1u);
 
   // Sampled: retained as a one-span record.
   tracer.record_span(TraceContext{TraceId{1, 2}, true}, Stage::wire_fastpath,
@@ -260,16 +257,16 @@ TEST(Tracer, RecordSpanRetainsSampledAndSlowOnly) {
   EXPECT_EQ(tracer.recent(8)[0].id, (TraceId{1, 3}));
   EXPECT_TRUE(tracer.recent(8)[0].slow);
 
-  // Invalid context: aggregates only.
+  // Invalid context: nothing retained, even over the slow gate.
   tracer.record_span(TraceContext{}, Stage::wire_fastpath, 0, 60'000'000,
                      "node-a");
   EXPECT_EQ(tracer.recent(8).size(), 2u);
 }
 
-TEST(Tracer, RecordRemoteAdoptsTheOriginalId) {
+TEST(Tracer, RecordSpanAdoptsARemoteId) {
   Tracer tracer(sampled_config());
   const TraceContext remote{TraceId{0xabc, 0xdef}, true};
-  tracer.record_remote(remote, Stage::repl_apply, 1000, 4000, "node-b");
+  tracer.record_span(remote, Stage::repl_apply, 1000, 4000, "node-b");
   const std::vector<TraceRecord> recent = tracer.recent(4);
   ASSERT_EQ(recent.size(), 1u);
   EXPECT_EQ(recent[0].id, remote.id);  // correlates across nodes
@@ -320,7 +317,6 @@ TEST(TracerStress, ConcurrentMintRecordFinishStaysConsistent) {
         tracer.record(trace, Stage::solve, t0 + 10, t0 + 90);
         tracer.record(trace, Stage::request, t0, t0 + 100);
         tracer.finish(trace, "stress");
-        tracer.note_stage(Stage::queue_wait, 42);
         tracer.record_span(TraceContext{TraceId{1, 1}, false},
                            Stage::wire_fastpath, 0, 10, "stress");
       }
@@ -333,17 +329,19 @@ TEST(TracerStress, ConcurrentMintRecordFinishStaysConsistent) {
       static_cast<std::uint64_t>(kThreads) * kPerThread;
   EXPECT_EQ(snap.started, kTotal);
   EXPECT_EQ(snap.sampled, kTotal);
-  EXPECT_EQ(snap.completed, kTotal);  // every trace head-sampled
-  EXPECT_EQ(snap.stages[static_cast<std::size_t>(Stage::decode)].count,
-            kTotal);
-  EXPECT_EQ(snap.stages[static_cast<std::size_t>(Stage::queue_wait)].count,
-            kTotal);
-  EXPECT_EQ(
-      snap.stages[static_cast<std::size_t>(Stage::wire_fastpath)].count,
-      kTotal);
-  EXPECT_EQ(snap.stages[static_cast<std::size_t>(Stage::request)].total_ns,
-            kTotal * 100);
-  EXPECT_EQ(tracer.recent(256).size(), 64u);  // ring capacity
+  // Every trace head-sampled; the unsampled, fast single spans are
+  // neither retained nor counted as dropped.
+  EXPECT_EQ(snap.completed, kTotal);
+  EXPECT_EQ(snap.dropped, 0u);
+  const std::vector<TraceRecord> kept = tracer.recent(256);
+  EXPECT_EQ(kept.size(), 64u);  // ring capacity
+  for (const TraceRecord& record : kept) {
+    // Each retained trace holds its own three spans, whole.
+    ASSERT_EQ(record.spans.size(), 3u);
+    EXPECT_EQ(record.spans[0].stage, Stage::decode);
+    EXPECT_EQ(record.spans[1].duration_ns(), 80);
+    EXPECT_EQ(record.total_ns, 100);
+  }
 }
 
 TEST(TracerStress, ManyThreadsAppendToOneSharedTrace) {

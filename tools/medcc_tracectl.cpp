@@ -1,6 +1,7 @@
 // Trace inspection tool: asks each listed medcc_server replica for its
 // tracer state over the trace_dump admin frame and prints one block
-// per node -- counters, the per-stage latency breakdown, and (on
+// per node -- counters, the per-stage latency distributions (read
+// from the node's metrics table over the stats frame), and (on
 // request) recent or slowest retained traces with their span trees.
 //
 // Usage: medcc_tracectl --nodes HOST:PORT,... [--timeout MS]
@@ -9,8 +10,11 @@
 //
 //   --recent N    print the N most recently retained traces per node
 //   --slowest N   print the N slowest retained traces per node
-//   --stages      print the per-stage aggregate breakdown (default
-//                 when no other view is requested)
+//   --stages      print each server-side stage's count, p50 and p99
+//                 from the node's metrics rows (default when no other
+//                 view is requested). queue_wait and persist_append
+//                 count every request, the other stages traced ones;
+//                 stages with no samples are skipped
 //   --metrics     also fetch and print the node's Prometheus metrics
 //                 exposition (stats frame, StatsFormat::prometheus)
 //
@@ -22,7 +26,7 @@
 //
 //   node medcc-a at 127.0.0.1:7101: tracing on (v2, features repl+trace)
 //     started 4096  sampled 64  completed 64  dropped 4032
-//     stage solve          count=17    total_ms=412.150  avg_us=24244.1
+//     stage solve  count=17  p50_ms=0.024  p99_ms=0.768
 //     trace 7f3a...c2 total_ms=31.402 slow origin=medcc-a spans=5
 //       request        31.402ms @ +0.000ms
 //       queue_wait      2.120ms @ +0.310ms
@@ -31,15 +35,18 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/codec.hpp"
 #include "net/endpoint.hpp"
 #include "obs/trace.hpp"
+#include "service/metrics.hpp"
 #include "util/flags.hpp"
 
 namespace {
@@ -81,6 +88,48 @@ std::string format_ms(std::int64_t ns) {
   std::snprintf(buffer, sizeof(buffer), "%.3f",
                 static_cast<double>(ns) / 1e6);
   return buffer;
+}
+
+/// Each server-side stage and the metrics row that holds its
+/// distribution. The client_* stages have none.
+using medcc::obs::Stage;
+using medcc::service::Latency;
+constexpr std::pair<Stage, Latency> kStageRows[] = {
+    {Stage::request, Latency::stage_request},
+    {Stage::decode, Latency::stage_decode},
+    {Stage::queue_wait, Latency::queue_delay},
+    {Stage::solve, Latency::stage_solve},
+    {Stage::cache_lookup, Latency::stage_cache_lookup},
+    {Stage::wire_fastpath, Latency::stage_wire_fastpath},
+    {Stage::persist_append, Latency::persist_append},
+    {Stage::repl_push, Latency::stage_repl_push},
+    {Stage::repl_apply, Latency::stage_repl_apply},
+};
+
+/// The value of one "name value" line of a text stats dump; 0 when
+/// the dump has no such line.
+double dump_value(const std::string& dump, const std::string& name) {
+  std::istringstream lines(dump);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.size() > name.size() && line.compare(0, name.size(), name) == 0 &&
+        line[name.size()] == ' ')
+      return std::stod(line.substr(name.size() + 1));
+  return 0.0;
+}
+
+void print_stages(const std::string& dump) {
+  for (const auto& [stage, row] : kStageRows) {
+    const std::string name(
+        medcc::service::kLatencyRows[static_cast<std::size_t>(row)].name);
+    const double count = dump_value(dump, name + "_count");
+    if (count <= 0.0) continue;
+    char line[96];
+    std::snprintf(line, sizeof(line), "  count=%.0f  p50_ms=%.3f  p99_ms=%.3f",
+                  count, dump_value(dump, name + "_p50") * 1e3,
+                  dump_value(dump, name + "_p99") * 1e3);
+    std::cout << "  stage " << medcc::obs::to_string(stage) << line << "\n";
+  }
 }
 
 void print_trace(const medcc::obs::TraceRecord& trace) {
@@ -131,22 +180,7 @@ bool report(const medcc::net::Endpoint& node, const Options& opt) {
               << "  started " << dump.started << "  sampled " << dump.sampled
               << "  completed " << dump.completed << "  dropped "
               << dump.dropped << "\n";
-    if (opt.stages) {
-      for (std::size_t s = 0; s < medcc::obs::kStageCount; ++s) {
-        const medcc::obs::StageStat& stat = dump.stages[s];
-        if (stat.count == 0) continue;
-        const double avg_us = static_cast<double>(stat.total_ns) /
-                              static_cast<double>(stat.count) / 1e3;
-        char avg[32];
-        std::snprintf(avg, sizeof(avg), "%.1f", avg_us);
-        std::cout << "  stage " << std::left
-                  << medcc::obs::to_string(
-                         static_cast<medcc::obs::Stage>(s))
-                  << std::right << "  count=" << stat.count << "  total_ms="
-                  << format_ms(static_cast<std::int64_t>(stat.total_ns))
-                  << "  avg_us=" << avg << "\n";
-      }
-    }
+    if (opt.stages) print_stages(client.stats(medcc::net::StatsFormat::text));
     if (opt.slowest > 0) {
       std::vector<medcc::obs::TraceRecord> traces = dump.traces;
       std::stable_sort(traces.begin(), traces.end(),

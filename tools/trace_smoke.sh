@@ -4,9 +4,10 @@
 # through a ClusterClient (medcc_serve_demo --trace-solve), and
 # require the SAME trace id on every replica -- a request span on the
 # tenant's primary and repl_apply spans on both peers, read back with
-# medcc_tracectl. Then SIGKILL the primary and solve again: the client
-# must retain a client_failover span and a survivor must show the new
-# id. One id, one journey, across a node death.
+# medcc_tracectl, and a sampled solve stage in the primary's metrics
+# rows (medcc_tracectl --stages). Then SIGKILL the primary and solve
+# again: the client must retain a client_failover span and a survivor
+# must show the new id. One id, one journey, across a node death.
 #
 # usage: tools/trace_smoke.sh [BUILD_DIR]
 set -euo pipefail
@@ -117,6 +118,18 @@ done
   exit 1
 }
 echo "== trace $trace1: request on node$primary, repl_apply on $appliers peers"
+
+# The stage distributions are rows of the metrics table: the replica
+# that served the traced solve must report a sampled solve stage.
+"$CTL" --nodes "127.0.0.1:${ports[$primary]}" --stages \
+    >"$workdir/stages.txt"
+cat "$workdir/stages.txt"
+solves="$(awk '$1 == "stage" && $2 == "solve" {
+    sub(/^count=/, "", $3); print $3 }' "$workdir/stages.txt")"
+[ "${solves:-0}" -gt 0 ] 2>/dev/null || {
+  echo "trace_smoke: node$primary printed no solve stage samples" >&2
+  exit 1
+}
 
 echo "== SIGKILL node$primary, solve again"
 kill -KILL "${pids[$primary]}"
